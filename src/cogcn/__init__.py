@@ -35,16 +35,12 @@ from .model import (
     ForwardCache,
     ModelConfig,
     ModelParams,
-    apply_skip,
-    classify,
     forward,
     forward_arrays,
     init_params,
     load_checkpoint,
-    mp_layer,
     param_count,
-    pre_layer,
-    readout_mean,
+    param_layout,
     sample_dropout_mask,
     save_checkpoint,
     softmax,
@@ -60,7 +56,6 @@ from .training import (
     adam_step,
     backward,
     best_epoch,
-    cross_entropy,
     cross_entropy_from_logits,
     evaluate,
     init_adam_state,

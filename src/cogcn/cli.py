@@ -22,6 +22,7 @@ from .features import (
     DataError,
     SynthSpec,
     apply_standardizer,
+    feature_csv_text,
     load_dataset,
     save_dataset,
     synth_dataset,
@@ -122,7 +123,7 @@ def _train_config(args, dataset) -> TrainConfig:
     model = ModelConfig(
         in_dim=dataset.d,
         hidden_dim=args.z,
-        num_layers=(args.k if args.k else args.k_grid[0]),
+        num_layers=(args.k if args.k is not None else args.k_grid[0]),
         num_classes=dataset.n_classes,
         use_pre=not args.no_pre,
         use_skip=not args.no_skip,
@@ -130,7 +131,7 @@ def _train_config(args, dataset) -> TrainConfig:
         self_in_aggregation=not args.no_self_agg,
         dtype=args.dtype,
     )
-    k_grid = (args.k,) if args.k else args.k_grid
+    k_grid = (args.k,) if args.k is not None else args.k_grid
     gamma_grid = (args.gamma,) if args.gamma is not None else args.gamma_grid
     return TrainConfig(
         model=model,
@@ -258,12 +259,7 @@ def cmd_graph(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_dot(g, out / f"{utt.id}.dot")
     export_graph_json(g, out / f"{utt.id}.json")
-    header = "frame_index," + ",".join(f"f{i}" for i in range(dataset.d))
-    rows = [
-        f"{i}," + ",".join(repr(v) for v in frame)
-        for i, frame in enumerate(utt.features.tolist())
-    ]
-    write_text_atomic(out / f"{utt.id}_features.csv", "\n".join([header, *rows]) + "\n")
+    write_text_atomic(out / f"{utt.id}_features.csv", feature_csv_text(utt.features))
     _write_run_manifest(
         out, "graph", {"utt": args.utt, **kind, "seed": None}, started,
         inputs={"data": str(args.data)},

@@ -63,7 +63,11 @@ class Dataset:
             raise DataError("dataset contains no utterances")
         if list(self.class_names) != sorted(self.class_names):
             raise DataError("class_names must be sorted lexicographically")
+        seen = set()
         for utt in self.utterances:
+            if utt.id in seen:
+                raise DataError(f"duplicate utterance id '{utt.id}'")
+            seen.add(utt.id)
             if utt.features.ndim != 2 or utt.features.shape[1] != self.d:
                 raise DataError(
                     f"utterance '{utt.id}': feature dimension "
@@ -107,13 +111,6 @@ class Dataset:
                 f"no utterances for speakers {sorted(keep)}; "
                 f"available: {', '.join(self.speakers)}"
             )
-        return Dataset(utts, self.d, self.class_names)
-
-    def subset_ids(self, keep) -> "Dataset":
-        keep = set(keep)
-        utts = tuple(u for u in self.utterances if u.id in keep)
-        if not utts:
-            raise DataError("id subset selects no utterances")
         return Dataset(utts, self.d, self.class_names)
 
 
@@ -248,13 +245,30 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
     return Dataset(tuple(utterances), d, class_names)
 
 
-def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> Path:
-    """Write manifest.jsonl plus one feature CSV per utterance.
+def feature_csv_text(features: np.ndarray) -> str:
+    """One utterance's feature file: header, then one row per frame.
 
-    Floats are printed with shortest round-trip repr, so save/load is exact.
+    Floats are printed with shortest round-trip repr, so reading is exact.
+    """
+    header = "frame_index," + ",".join(f"f{i}" for i in range(features.shape[1]))
+    rows = [
+        f"{i}," + ",".join(repr(v) for v in frame)
+        for i, frame in enumerate(features.tolist())
+    ]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> Path:
+    """Write manifest.jsonl plus one feature CSV ``{id}.csv`` per utterance.
+
+    Every id must be a plain file name (no path separator, not ``.`` or
+    ``..``); this is checked before anything is written. Save/load is exact.
     Returns the manifest path.
     """
     out_dir = Path(out_dir)
+    for utt in dataset.utterances:
+        if utt.id in ("", ".", "..") or "/" in utt.id or "\\" in utt.id:
+            raise DataError(f"utterance id '{utt.id}' is not a plain file name")
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise DataError(f"{out_dir}: output directory is not empty (use force)")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,12 +276,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> 
     manifest_lines = []
     for utt in dataset.utterances:
         fname = f"{utt.id}.csv"
-        header = "frame_index," + ",".join(f"f{i}" for i in range(dataset.d))
-        rows = [
-            f"{i}," + ",".join(repr(v) for v in frame)
-            for i, frame in enumerate(utt.features.tolist())
-        ]
-        write_text_atomic(out_dir / fname, "\n".join([header, *rows]) + "\n")
+        write_text_atomic(out_dir / fname, feature_csv_text(utt.features))
         manifest_lines.append(
             json.dumps(
                 {

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import build_cosine_graph, build_temporal_graph, norm_coefficients
-from .model import ModelConfig, ModelParams, forward_arrays, init_params
+from .model import (
+    ModelConfig,
+    ModelParams,
+    forward_arrays,
+    init_params,
+    param_layout,
+    sample_dropout_mask,
+)
 from .training import backward, cross_entropy_from_logits
 
 DEFAULT_STEP = 1e-5
@@ -71,18 +78,16 @@ def finite_difference_grads(
 ) -> ModelParams:
     """Central differences of the loss w.r.t. every parameter entry."""
     params = instance.params.copy()
-    grads = params.copy()
-    for (_, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            up = _loss(instance, params)
-            flat_p[i] = orig - step
-            down = _loss(instance, params)
-            flat_p[i] = orig
-            flat_g[i] = (up - down) / (2.0 * step)
+    grads = ModelParams(params.config)
+    flat = params.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = _loss(instance, params)
+        flat[i] = orig - step
+        down = _loss(instance, params)
+        flat[i] = orig
+        grads.flat[i] = (up - down) / (2.0 * step)
     return grads
 
 
@@ -90,15 +95,14 @@ def max_relative_error(
     analytic: ModelParams, numeric: ModelParams, floor: float = _REL_FLOOR
 ) -> tuple[float, str]:
     """Largest guarded relative error over all entries, with its array name."""
-    worst = 0.0
-    worst_name = ""
-    for (name, a), (_, n) in zip(analytic.named_arrays(), numeric.named_arrays()):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        err = float((np.abs(a - n) / denom).max())
-        if err > worst:
-            worst = err
-            worst_name = name
-    return worst, worst_name
+    a, n = analytic.flat, numeric.flat
+    err = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    worst = int(err.argmax())
+    name = next(
+        name for name, _, offset in reversed(param_layout(analytic.config))
+        if offset <= worst
+    )
+    return float(err[worst]), name
 
 
 def _min_preactivation(instance: GradcheckInstance) -> float:
@@ -156,11 +160,7 @@ def _draw_instance(rng: np.random.Generator, index: int) -> GradcheckInstance:
     coeffs = norm_coefficients(g, include_self=self_agg)
     params = init_params(config, int(rng.integers(2**31)))
     label = int(rng.integers(c))
-    if dropout > 0.0:
-        keep = rng.random(z) >= dropout
-        mask = keep.astype(np.float64) / (1.0 - dropout)
-    else:
-        mask = np.ones(z, dtype=np.float64)
+    mask = sample_dropout_mask(config, rng)
     return GradcheckInstance(config, params, x, coeffs, label, mask, graph_kind)
 
 

@@ -19,10 +19,6 @@ import numpy as np
 
 from .util import write_text_atomic
 
-# Raw similarities may exceed [-1, 1] by at most this before clamping.
-CLAMP_EPS = 1e-12
-
-
 @dataclass(frozen=True)
 class Graph:
     """Node features plus a symmetric, self-loop-free boolean adjacency."""

@@ -13,18 +13,21 @@ Forward pipeline per graph, all plain numpy:
 Without the pre-layer the first message-passing weight maps the raw input
 dimension to the hidden width, so the first skip is shape-gated. The forward
 cache retains every intermediate needed for exact reverse-mode gradients
-(see ``training.backward``).
+(see ``training.backward``). Every learnable array is a view into one flat
+vector laid out by ``param_layout``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .features import StandardizeStats
+from .features import DataError, StandardizeStats
 from .graph import Graph, norm_coefficients
 from .util import substream, write_text_atomic
 
@@ -70,37 +73,62 @@ class ModelConfig:
         return self.hidden_dim
 
 
-@dataclass
+@lru_cache(maxsize=128)
+def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """(name, shape, offset into the flat vector) of every learnable array.
+
+    The one place that knows the parameter names, shapes and order. Computed
+    once per configuration: ``ModelParams`` is built for every gradient.
+    """
+    z, c = config.hidden_dim, config.num_classes
+    shapes = []
+    if config.use_pre:
+        shapes += [("w_pre", (z, config.in_dim)), ("b_pre", (z,))]
+    shapes += [(f"w_msg{k}", (z, config.layer_in_dim(k))) for k in range(config.num_layers)]
+    shapes += [("w_out", (c, z)), ("b_out", (c,))]
+    layout, offset = [], 0
+    for name, shape in shapes:
+        layout.append((name, shape, offset))
+        offset += math.prod(shape)
+    return tuple(layout)
+
+
 class ModelParams:
-    """All learnable tensors; also reused as the container for gradients."""
+    """All learnable tensors as views into one flat vector; also the gradient container.
 
-    w_pre: np.ndarray | None  # (z, d) or None when the pre-layer is off
-    b_pre: np.ndarray | None  # (z,)
-    w_msg: list[np.ndarray]  # k-th is (z, layer_in_dim(k)), bias-free
-    w_out: np.ndarray  # (C, z)
-    b_out: np.ndarray  # (C,)
+    ``flat`` holds every entry in ``param_layout`` order. ``arrays`` maps each
+    layout name to its view, and ``w_pre``/``b_pre`` (None without the
+    pre-layer), ``w_msg[k]``, ``w_out`` and ``b_out`` are the same views, so
+    writing through any of them writes ``flat``. Optimizers and gradient
+    checks work on ``flat`` alone.
+    """
 
-    def named_arrays(self):
-        if self.w_pre is not None:
-            yield "w_pre", self.w_pre
-            yield "b_pre", self.b_pre
-        for k, w in enumerate(self.w_msg):
-            yield f"w_msg{k}", w
-        yield "w_out", self.w_out
-        yield "b_out", self.b_out
+    __slots__ = ("config", "flat", "arrays", "w_pre", "b_pre", "w_msg", "w_out", "b_out")
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None) -> None:
+        size = param_count(config)
+        if flat is None:
+            flat = np.zeros(size, dtype=config.np_dtype)
+        elif flat.shape != (size,):
+            raise ValueError(f"flat parameter vector has shape {flat.shape}, expected ({size},)")
+        self.config = config
+        self.flat = flat
+        self.arrays = {
+            name: flat[offset : offset + math.prod(shape)].reshape(shape)
+            for name, shape, offset in param_layout(config)
+        }
+        self.w_pre = self.arrays.get("w_pre")
+        self.b_pre = self.arrays.get("b_pre")
+        self.w_msg = [self.arrays[f"w_msg{k}"] for k in range(config.num_layers)]
+        self.w_out = self.arrays["w_out"]
+        self.b_out = self.arrays["b_out"]
+
+    def __reduce__(self):
+        # pickle the vector once, so the views still share it after unpickling
+        return ModelParams, (self.config, self.flat)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            None if self.w_pre is None else self.w_pre.copy(),
-            None if self.b_pre is None else self.b_pre.copy(),
-            [w.copy() for w in self.w_msg],
-            self.w_out.copy(),
-            self.b_out.copy(),
-        )
-
-    @property
-    def size(self) -> int:
-        return sum(a.size for _, a in self.named_arrays())
+        return ModelParams(self.config, self.flat.copy())
 
 
 @dataclass
@@ -136,60 +164,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = substream(seed, "init")
-    dt = config.np_dtype
-
-    def glorot(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dt)
-
-    z, c = config.hidden_dim, config.num_classes
-    w_pre = b_pre = None
-    if config.use_pre:
-        w_pre = glorot(z, config.in_dim)
-        b_pre = np.zeros(z, dtype=dt)
-    w_msg = [glorot(z, config.layer_in_dim(k)) for k in range(config.num_layers)]
-    w_out = glorot(c, z)
-    b_out = np.zeros(c, dtype=dt)
-    return ModelParams(w_pre, b_pre, w_msg, w_out, b_out)
-
-
-# ---------------------------------------------------------------------------
-# individual stages (also composed by ``forward``)
-
-
-def pre_layer(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Row-wise relu(W_pre x + b_pre)."""
-    if params.w_pre is None:
-        raise ValueError("model has no pre-layer")
-    if x.shape[1] != params.w_pre.shape[1]:
-        raise ValueError(
-            f"input width {x.shape[1]} does not match pre-layer {params.w_pre.shape}"
-        )
-    return _relu(x @ params.w_pre.T + params.b_pre)
-
-
-def mp_layer(params: ModelParams, k: int, h: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """One message-passing step: relu((coeffs @ h) @ W_msg[k].T)."""
-    w = params.w_msg[k]
-    if h.shape[1] != w.shape[1]:
-        raise ValueError(
-            f"layer {k}: hidden width {h.shape[1]} does not match weight {w.shape}"
-        )
-    return _relu((coeffs @ h) @ w.T)
-
-
-def apply_skip(h_prev: np.ndarray, h_new: np.ndarray) -> np.ndarray:
-    """Elementwise residual sum; shapes must match exactly."""
-    if h_prev.shape != h_new.shape:
-        raise ValueError(f"skip shape mismatch: {h_prev.shape} vs {h_new.shape}")
-    return h_new + h_prev
-
-
-def readout_mean(h: np.ndarray) -> np.ndarray:
-    """Permutation-invariant graph representation: mean over node rows."""
-    if h.shape[0] < 1:
-        raise ValueError("readout needs at least one node")
-    return h.mean(axis=0)
+    params = ModelParams(config)
+    for name, shape, _ in param_layout(config):
+        if len(shape) == 2:
+            fan_out, fan_in = shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            params.arrays[name][...] = rng.uniform(-limit, limit, size=shape)
+    return params
 
 
 def sample_dropout_mask(config: ModelConfig, rng: np.random.Generator) -> np.ndarray:
@@ -199,12 +180,6 @@ def sample_dropout_mask(config: ModelConfig, rng: np.random.Generator) -> np.nda
         return np.ones(config.hidden_dim, dtype=dt)
     keep = rng.random(config.hidden_dim) >= config.dropout
     return (keep / (1.0 - config.dropout)).astype(dt)
-
-
-def classify(params: ModelParams, h_graph: np.ndarray, dropout_mask=None) -> np.ndarray:
-    """Softmax head; the mask (train mode only) is applied to h_graph first."""
-    h = h_graph if dropout_mask is None else h_graph * dropout_mask
-    return softmax(params.w_out @ h + params.b_out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +238,7 @@ def forward_arrays(
         if dropout_mask is None:
             if rng is None and config.dropout > 0.0:
                 raise ValueError("train mode needs an rng (or an explicit dropout mask)")
-            dropout_mask = sample_dropout_mask(config, rng) if config.dropout > 0.0 \
-                else np.ones(config.hidden_dim, dtype=dt)
+            dropout_mask = sample_dropout_mask(config, rng)
         h_dropped = h_graph * dropout_mask
     else:
         dropout_mask = None
@@ -313,14 +287,8 @@ def param_count(config: ModelConfig) -> int:
 
     The skip connection is parameter-free, so it never changes the count.
     """
-    z, c = config.hidden_dim, config.num_classes
-    count = 0
-    if config.use_pre:
-        count += z * config.in_dim + z
-    for k in range(config.num_layers):
-        count += z * config.layer_in_dim(k)
-    count += c * z + c
-    return count
+    _, shape, offset = param_layout(config)[-1]
+    return offset + math.prod(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +337,52 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; any fault in the file raises ``DataError`` naming it."""
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    version = obj.get("format_version")
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"{path}: checkpoint not found") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint: {exc}") from exc
+    version = obj.get("format_version") if isinstance(obj, dict) else None
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format_version {version}")
-    config = ModelConfig(**obj["config"])
-    dt = config.np_dtype
-    p = obj["params"]
-    params = ModelParams(
-        w_pre=None if p["W_p"] is None else np.asarray(p["W_p"], dtype=dt),
-        b_pre=None if p["b_p"] is None else np.asarray(p["b_p"], dtype=dt),
-        w_msg=[np.asarray(w, dtype=dt) for w in p["W_e"]],
-        w_out=np.asarray(p["W_o"], dtype=dt),
-        b_out=np.asarray(p["b_o"], dtype=dt),
-    )
-    standardizer = (
-        None
-        if obj.get("standardizer") is None
-        else StandardizeStats.from_dict(obj["standardizer"])
-    )
+        raise DataError(f"{path}: unsupported checkpoint format_version {version}")
+    try:
+        config = ModelConfig(**obj["config"])
+        params = _params_from_json(obj["params"], config)
+        standardizer = (
+            None
+            if obj.get("standardizer") is None
+            else StandardizeStats.from_dict(obj["standardizer"])
+        )
+        class_names = tuple(obj["class_names"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(
         params=params,
         config=config,
-        class_names=tuple(obj["class_names"]),
+        class_names=class_names,
         standardizer=standardizer,
         train_meta=obj.get("train_meta") or {},
     )
+
+
+def _params_from_json(p: dict, config: ModelConfig) -> ModelParams:
+    """Fill a ModelParams from the checkpoint's ``params`` object, shapes checked."""
+    if len(p["W_e"]) != config.num_layers:
+        raise ValueError(
+            f"W_e holds {len(p['W_e'])} layers, config.num_layers is {config.num_layers}"
+        )
+    stored = {"w_pre": p["W_p"], "b_pre": p["b_p"], "w_out": p["W_o"], "b_out": p["b_o"]}
+    stored.update((f"w_msg{k}", w) for k, w in enumerate(p["W_e"]))
+    params = ModelParams(config)
+    for name, shape, _ in param_layout(config):
+        value = np.asarray(stored.pop(name), dtype=config.np_dtype)
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, config needs {shape}")
+        params.arrays[name][...] = value
+    extra = [name for name, value in stored.items() if value is not None]
+    if extra:
+        raise ValueError(f"{', '.join(extra)} present but config.use_pre is false")
+    return params

@@ -63,16 +63,8 @@ class TrainConfig:
 # loss
 
 
-def cross_entropy(probs, label: int) -> float:
-    """-log(probs[label]) on an explicit probability vector."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(probs[label]))
-
-
 def cross_entropy_from_logits(logits, label: int) -> float:
-    """Same loss computed in log space from logits (stable for training)."""
+    """Softmax cross-entropy -log(softmax(logits)[label]), computed in log space."""
     logits = np.asarray(logits, dtype=np.float64)
     if not 0 <= label < logits.shape[0]:
         raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
@@ -100,44 +92,31 @@ def backward(
     if not 0 <= label < config.num_classes:
         raise ValueError(f"label {label} out of range")
 
-    d_logits = cache.probs.copy()
+    # written in place into the views of one flat vector, so that summing a
+    # batch is a single vector add
+    grads = ModelParams(config)
+    d_logits = grads.b_out
+    d_logits[...] = cache.probs
     d_logits[label] -= 1.0
 
-    g_w_out = np.outer(d_logits, cache.h_dropped)
-    g_b_out = d_logits
+    np.outer(d_logits, cache.h_dropped, out=grads.w_out)
     d_h_graph = (params.w_out.T @ d_logits) * cache.dropout_mask
 
     n = cache.hs[-1].shape[0]
     dh = np.tile(d_h_graph / n, (n, 1))
 
-    g_w_msg: list[np.ndarray] = [None] * config.num_layers  # type: ignore[list-item]
     for k in reversed(range(config.num_layers)):
         incoming = dh
         d_preact = incoming * (cache.mp_preacts[k] > 0)
-        g_w_msg[k] = d_preact.T @ cache.aggs[k]
+        np.matmul(d_preact.T, cache.aggs[k], out=grads.w_msg[k])
         dh = cache.coeffs.T @ (d_preact @ params.w_msg[k])
         if cache.skips[k]:
             dh = dh + incoming
 
-    g_w_pre = g_b_pre = None
     if config.use_pre:
         d_pre = dh * (cache.pre_act > 0)
-        g_w_pre = d_pre.T @ cache.x
-        g_b_pre = d_pre.sum(axis=0)
-    return ModelParams(g_w_pre, g_b_pre, g_w_msg, g_w_out, g_b_out)
-
-
-def _accumulate(total: ModelParams | None, grads: ModelParams) -> ModelParams:
-    if total is None:
-        return grads.copy()
-    for (_, t), (_, g) in zip(total.named_arrays(), grads.named_arrays()):
-        t += g
-    return total
-
-
-def _scale(grads: ModelParams, factor: float) -> ModelParams:
-    for _, g in grads.named_arrays():
-        g *= factor
+        np.matmul(d_pre.T, cache.x, out=grads.w_pre)
+        d_pre.sum(axis=0, out=grads.b_pre)
     return grads
 
 
@@ -147,19 +126,15 @@ def _scale(grads: ModelParams, factor: float) -> ModelParams:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators keyed like ModelParams arrays."""
+    """First/second-moment vectors, shaped like ``ModelParams.flat``."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(a) for name, a in params.named_arrays()},
-        v={name: np.zeros_like(a) for name, a in params.named_arrays()},
-        t=0,
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
 
 
 def adam_step(
@@ -171,23 +146,18 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update on the flat vector; returns fresh params and state."""
+    if grads.flat.shape != params.flat.shape:
+        raise ValueError(
+            f"gradient/parameter mismatch: {grads.flat.shape} vs {params.flat.shape}"
+        )
     t = state.t + 1
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    g = grads.flat
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * (g * g)
     new_params = params.copy()
-    new_m, new_v = {}, {}
-    for (name, p), (gname, g) in zip(
-        new_params.named_arrays(), grads.named_arrays()
-    ):
-        if name != gname or p.shape != g.shape:
-            raise ValueError(f"gradient/parameter mismatch at '{name}'")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t)
+    new_params.flat -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return new_params, AdamState(m, v, t)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +305,15 @@ def train(
         loss_sum = 0.0
         for start in range(0, n_train, tc.batch_size):
             batch = sorted(order[start : start + tc.batch_size].tolist())
-            total = None
+            grads = ModelParams(config)
             for idx in batch:
                 pg = prepared_train[idx]
                 logits, _, cache = forward_arrays(
                     params, config, pg.x, pg.coeffs, mode="train", rng=rng_dropout
                 )
                 loss_sum += cross_entropy_from_logits(logits, pg.label)
-                total = _accumulate(total, backward(params, config, cache, pg.label))
-            grads = _scale(total, 1.0 / len(batch))
+                grads.flat += backward(params, config, cache, pg.label).flat
+            grads.flat *= 1.0 / len(batch)
             params, state = adam_step(
                 params, grads, state, tc.lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps
             )

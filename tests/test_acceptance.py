@@ -146,7 +146,7 @@ def test_criterion_4_parameter_accounting():
             for z, d, c in ((128, 88, 4), (8, 5, 2), (16, 16, 3)):
                 cfg = ModelConfig(in_dim=d, hidden_dim=z, num_layers=k,
                                   num_classes=c, use_pre=use_pre)
-                ok = ok and param_count(cfg) == init_params(cfg, 0).size
+                ok = ok and param_count(cfg) == init_params(cfg, 0).flat.size
                 ok = ok and param_count(cfg) == param_count(
                     replace(cfg, use_skip=not cfg.use_skip)
                 )

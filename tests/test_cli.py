@@ -155,6 +155,28 @@ class TestEval:
         assert code == 2
         assert not (out / "eval_metrics.json").exists()
 
+    @pytest.mark.parametrize("fault", [
+        "missing", "invalid_json", "bad_version", "truncated_w_e", "w_e_count",
+    ])
+    def test_bad_checkpoint_is_data_error(self, tmp_path, data_dir, trained, fault, capsys):
+        good = json.loads((trained / "fold_spk00.json").read_text())
+        ckpt = tmp_path / "bad.json"
+        if fault == "invalid_json":
+            ckpt.write_text('{"format_version": 1, config}')
+        elif fault == "bad_version":
+            ckpt.write_text(json.dumps({**good, "format_version": 99}))
+        elif fault == "truncated_w_e":
+            good["params"]["W_e"][-1] = [row[:5] for row in good["params"]["W_e"][-1]]
+            ckpt.write_text(json.dumps(good))
+        elif fault == "w_e_count":
+            good["params"]["W_e"].append(good["params"]["W_e"][-1])
+            ckpt.write_text(json.dumps(good))
+        code = run(["eval", "--ckpt", ckpt, "--data", data_dir, "--speaker", "spk01"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert "Traceback" not in err
+
     def test_dimension_mismatch(self, tmp_path, trained):
         other = tmp_path / "otherd"
         assert run(["synth", "--classes", 4, "--speakers", 2, "--utts", 2,
@@ -191,6 +213,15 @@ class TestGraphCommand:
         assert (out / f"{utt}.dot").exists()
         assert (out / f"{utt}_features.csv").exists()
 
+    def test_features_csv_matches_dataset_file(self, tmp_path, data_dir):
+        # `cogcn graph` writes the utterance's features as `save_dataset` does
+        entry = json.loads((data_dir / "manifest.jsonl").read_text().splitlines()[3])
+        out = tmp_path / "g"
+        assert run(["graph", "--data", data_dir, "--utt", entry["id"], "--gamma", 0.5,
+                    "-o", out]) == 0
+        written = (out / f"{entry['id']}_features.csv").read_bytes()
+        assert written == (data_dir / entry["path"]).read_bytes()
+
     def test_unknown_utterance_lists_ids(self, tmp_path, data_dir, capsys):
         code = run(["graph", "--data", data_dir, "--utt", "nope", "--gamma",
                     0.5, "-o", tmp_path / "g"])
@@ -213,6 +244,9 @@ class TestDiag:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, tmp_path, data_dir):
         assert run(["train"]) == 1  # missing required flags
         assert run(["nonsense"]) == 1
+        # --k 0 is a layer count, not "unset": it must not fall back to the grid
+        assert run(["train", "--data", data_dir, "--k", 0, "--z", 8, "--epochs", 1,
+                    "--holdout", "spk00", "-o", tmp_path / "k0"]) == 1

@@ -251,6 +251,26 @@ class TestRoundTrip:
             assert orig.session == loaded.session
             assert np.array_equal(orig.features, loaded.features)
 
+    def test_duplicate_ids_rejected(self):
+        # two utterances saved under one id would share one feature file
+        ds = synth_dataset(SynthSpec(d=3, n_speakers=2, utt_per_speaker=2,
+                                     frames_lo=2, frames_hi=3))
+        first, second = ds.utterances[:2]
+        with pytest.raises(DataError, match=f"duplicate utterance id '{first.id}'"):
+            Dataset((first, Utterance(first.id, second.features, second.label,
+                                      second.speaker)), ds.d, ds.class_names)
+
+    @pytest.mark.parametrize("bad_id", ["a/b", "..", ".", "a\\b", "../x"])
+    def test_unsafe_id_rejected_before_writing(self, tmp_path, bad_id):
+        ds = synth_dataset(SynthSpec(d=3, n_speakers=2, utt_per_speaker=2,
+                                     frames_lo=2, frames_hi=3))
+        utts = list(ds.utterances)
+        utts[-1] = Utterance(bad_id, utts[-1].features, utts[-1].label, utts[-1].speaker)
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match="plain file name"):
+            save_dataset(Dataset(tuple(utts), ds.d, ds.class_names), out)
+        assert not out.exists()
+
     def test_refuses_non_empty_dir(self, tmp_path):
         ds = synth_dataset(SynthSpec(d=3, utt_per_speaker=1, frames_lo=2, frames_hi=2))
         out = tmp_path / "out"

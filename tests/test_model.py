@@ -1,6 +1,8 @@
-"""Model stages, full forward, parameter accounting, checkpoints."""
+"""Parameter container, model stages through the full forward, parameter
+accounting, checkpoints."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,21 +10,21 @@ import pytest
 from cogcn import (
     ModelConfig,
     ModelParams,
-    apply_skip,
     build_cosine_graph,
     build_temporal_graph,
-    classify,
     forward,
+    forward_arrays,
     init_params,
     load_checkpoint,
-    mp_layer,
     norm_coefficients,
     param_count,
-    pre_layer,
-    readout_mean,
+    param_layout,
     sample_dropout_mask,
     save_checkpoint,
+    softmax,
 )
+
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_float64.json"
 
 
 def config64(**kwargs):
@@ -31,24 +33,82 @@ def config64(**kwargs):
     return ModelConfig(**defaults)
 
 
-def identity_params(d, k, c, use_pre=True):
+def identity_params(d, k, c, use_pre=True, use_skip=True):
     """Square identity weights and zero biases for hand-traceable forwards."""
-    eye = np.eye(d)
-    return ModelParams(
-        w_pre=eye.copy() if use_pre else None,
-        b_pre=np.zeros(d) if use_pre else None,
-        w_msg=[eye.copy() for _ in range(k)],
-        w_out=np.eye(c, d),
-        b_out=np.zeros(c),
-    )
+    cfg = ModelConfig(in_dim=d, hidden_dim=d, num_layers=k, num_classes=c,
+                      use_pre=use_pre, use_skip=use_skip, dtype="float64")
+    params = ModelParams(cfg)
+    if use_pre:
+        params.w_pre[...] = np.eye(d)
+    for w in params.w_msg:
+        w[...] = np.eye(d)
+    params.w_out[...] = np.eye(c, d)
+    return cfg, params
+
+
+def hidden_states(cfg, params, x, coeffs):
+    """Eval-mode forward on explicit coefficients; returns the cache."""
+    _, _, cache = forward_arrays(params, cfg, np.asarray(x, dtype=float),
+                                 np.asarray(coeffs, dtype=float))
+    return cache
+
+
+class TestParams:
+    def test_layout_is_contiguous_and_covers_flat(self):
+        cfg = config64()
+        layout = param_layout(cfg)
+        assert [name for name, _, _ in layout] == [
+            "w_pre", "b_pre", "w_msg0", "w_msg1", "w_out", "b_out"
+        ]
+        end = 0
+        for _, shape, offset in layout:
+            assert offset == end
+            end += math.prod(shape)
+        assert end == param_count(cfg) == init_params(cfg, 0).flat.size
+
+    def test_write_through_view_shows_in_flat(self):
+        cfg = config64()
+        params = ModelParams(cfg)
+        params.w_msg[1][2, 3] = 7.0
+        params.b_out[...] = -1.0
+        _, shape, offset = dict((n, (n, s, o)) for n, s, o in param_layout(cfg))["w_msg1"]
+        assert params.flat[offset + 2 * shape[1] + 3] == 7.0
+        np.testing.assert_array_equal(params.flat[-cfg.num_classes:], -1.0)
+        assert np.count_nonzero(params.flat) == 1 + cfg.num_classes
+        params.flat[0] = 3.0
+        assert params.w_pre[0, 0] == 3.0
+
+    def test_copy_is_deep(self):
+        params = init_params(config64(), 1)
+        clone = params.copy()
+        before = params.flat.copy()
+        clone.w_out[...] = 0.0
+        clone.flat[0] += 1.0
+        np.testing.assert_array_equal(params.flat, before)
+        assert not np.shares_memory(clone.flat, params.flat)
+        assert np.shares_memory(clone.w_out, clone.flat)
+
+    def test_pickle_keeps_views_on_flat(self):
+        # folds trained in worker processes come back pickled
+        import pickle
+
+        params = init_params(config64(), 3)
+        back = pickle.loads(pickle.dumps(params))
+        assert back.config == params.config
+        assert np.array_equal(back.flat, params.flat)
+        back.flat[...] = 0.0
+        assert not back.w_out.any() and not back.w_msg[1].any()
+
+    def test_wrong_flat_size_rejected(self):
+        with pytest.raises(ValueError, match="flat"):
+            ModelParams(config64(), np.zeros(3))
 
 
 class TestInit:
     def test_same_seed_same_params(self):
         cfg = config64()
         a, b = init_params(cfg, 42), init_params(cfg, 42)
-        for (_, pa), (_, pb) in zip(a.named_arrays(), b.named_arrays()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_different_seed_differs(self):
         cfg = config64()
@@ -74,95 +134,115 @@ class TestInit:
 
 
 class TestStages:
+    """Each stage of the pipeline, read from the forward cache."""
+
     def test_pre_layer_relu_identity(self):
-        params = identity_params(2, 1, 2)
-        np.testing.assert_array_equal(
-            pre_layer(params, np.array([[1.0, -2.0]])), [[1.0, 0.0]]
-        )
+        cfg, params = identity_params(2, 1, 2)
+        cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
+        np.testing.assert_array_equal(cache.hs[0], [[1.0, 0.0]])
 
     def test_pre_layer_zero_input(self):
-        params = identity_params(2, 1, 2)
-        np.testing.assert_array_equal(pre_layer(params, np.zeros((1, 2))), [[0.0, 0.0]])
+        cfg, params = identity_params(2, 1, 2)
+        cache = hidden_states(cfg, params, np.zeros((1, 2)), [[1.0]])
+        np.testing.assert_array_equal(cache.hs[0], [[0.0, 0.0]])
 
     def test_pre_layer_negative_bias(self):
-        params = ModelParams(
-            w_pre=np.array([[1.0, 1.0]]), b_pre=np.array([-3.0]),
-            w_msg=[], w_out=np.zeros((2, 1)), b_out=np.zeros(2),
-        )
-        np.testing.assert_array_equal(pre_layer(params, np.array([[1.0, 1.0]])), [[0.0]])
+        cfg = ModelConfig(in_dim=2, hidden_dim=1, num_layers=1, num_classes=2,
+                          dtype="float64")
+        params = ModelParams(cfg)
+        params.w_pre[...] = [[1.0, 1.0]]
+        params.b_pre[...] = [-3.0]
+        cache = hidden_states(cfg, params, [[1.0, 1.0]], [[1.0]])
+        np.testing.assert_array_equal(cache.hs[0], [[0.0]])
 
     def test_mp_layer_single_node_is_identity_then_relu(self):
-        params = identity_params(2, 1, 2)
-        coeffs = np.array([[1.0]])
-        np.testing.assert_array_equal(
-            mp_layer(params, 0, np.array([[1.0, -2.0]]), coeffs), [[1.0, 0.0]]
-        )
+        cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
+        cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
+        np.testing.assert_array_equal(cache.hs[1], [[1.0, 0.0]])
 
     def test_mp_layer_two_connected_nodes_average(self):
-        params = identity_params(2, 1, 2)
+        cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
         coeffs = np.full((2, 2), 0.5)  # both degree_hat = 2
-        h = np.array([[2.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(mp_layer(params, 0, h, coeffs), np.ones((2, 2)))
+        cache = hidden_states(cfg, params, [[2.0, 0.0], [0.0, 2.0]], coeffs)
+        np.testing.assert_array_equal(cache.hs[1], np.ones((2, 2)))
 
     def test_mp_layer_isolated_node_sees_only_itself(self):
         # node 1 is isolated: its output must equal relu(W h_1)
-        g = build_cosine_graph(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]]), 0.9)
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]])
+        g = build_cosine_graph(x, 0.9)
         assert g.edges() == [(0, 2)]
-        coeffs = norm_coefficients(g)
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((2, 2))
-        params = ModelParams(None, None, [w], np.zeros((2, 2)), np.zeros(2))
-        h = rng.standard_normal((3, 2))
-        out = mp_layer(params, 0, h, coeffs)
-        np.testing.assert_allclose(out[1], np.maximum(w @ h[1], 0.0), atol=1e-15)
+        cfg = ModelConfig(in_dim=2, hidden_dim=2, num_layers=1, num_classes=2,
+                          use_pre=False, use_skip=False, dtype="float64")
+        params = init_params(cfg, 0)
+        _, _, cache = forward(params, cfg, g, mode="eval")
+        w = params.w_msg[0]
+        np.testing.assert_allclose(cache.hs[1][1], np.maximum(w @ x[1], 0.0), atol=1e-15)
 
     def test_apply_skip(self):
-        np.testing.assert_array_equal(
-            apply_skip(np.array([1.0, -2.0]), np.array([1.0, 0.0])), [2.0, -2.0]
-        )
+        # relu(I [1, -2]) + [1, -2]
+        cfg, params = identity_params(2, 1, 2, use_pre=False)
+        cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
+        assert cache.skips == [True]
+        np.testing.assert_array_equal(cache.hs[1], [[2.0, -2.0]])
 
     def test_apply_skip_zero_update(self):
-        h = np.array([3.0, -1.0])
-        np.testing.assert_array_equal(apply_skip(h, np.zeros(2)), h)
-
-    def test_apply_skip_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            apply_skip(np.zeros(3), np.zeros(2))
+        cfg, params = identity_params(2, 1, 2, use_pre=False)
+        params.w_msg[0][...] = 0.0
+        h = np.array([[3.0, -1.0]])
+        cache = hidden_states(cfg, params, h, [[1.0]])
+        np.testing.assert_array_equal(cache.hs[1], h)
 
     def test_readout_mean(self):
-        np.testing.assert_array_equal(
-            readout_mean(np.array([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0]
-        )
+        cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
+        cache = hidden_states(cfg, params, [[1.0, 2.0], [3.0, 4.0]], np.eye(2))
+        np.testing.assert_array_equal(cache.h_graph, [2.0, 3.0])
 
     def test_readout_constant_rows(self):
-        v = np.array([5.0, -1.0])
-        np.testing.assert_array_equal(readout_mean(np.tile(v, (4, 1))), v)
+        cfg = config64()
+        params = init_params(cfg, 4)
+        x = np.tile([5.0, -1.0, 0.5, 2.0], (4, 1))
+        cache = hidden_states(cfg, params, x, np.full((4, 4), 0.25))
+        np.testing.assert_array_equal(cache.hs[-1], np.tile(cache.hs[-1][0], (4, 1)))
+        np.testing.assert_allclose(cache.h_graph, cache.hs[-1][0], atol=1e-15)
 
     def test_readout_permutation_invariant(self):
         rng = np.random.default_rng(1)
-        h = rng.standard_normal((6, 3))
-        np.testing.assert_allclose(
-            readout_mean(h), readout_mean(h[rng.permutation(6)]), atol=1e-15
-        )
+        cfg = config64()
+        params = init_params(cfg, 2)
+        x = rng.standard_normal((6, 4))
+        coeffs = norm_coefficients(build_cosine_graph(x, 0.2))
+        perm = rng.permutation(6)
+        a = hidden_states(cfg, params, x, coeffs)
+        b = hidden_states(cfg, params, x[perm], coeffs[np.ix_(perm, perm)])
+        np.testing.assert_allclose(a.h_graph, b.h_graph, atol=1e-15)
 
 
 class TestClassify:
+    """The softmax head, read from full forwards."""
+
+    def _zero_head(self, b_out):
+        cfg = ModelConfig(in_dim=2, hidden_dim=2, num_layers=1, num_classes=4,
+                          dtype="float64")
+        params = init_params(cfg, 0)
+        params.w_out[...] = 0.0
+        params.b_out[...] = b_out
+        g = build_temporal_graph(np.array([[1.0, 2.0], [9.0, -9.0]]))
+        _, probs, _ = forward(params, cfg, g, mode="eval")
+        return probs
+
     def test_uniform_when_weights_zero(self):
-        params = ModelParams(None, None, [], np.zeros((4, 2)), np.zeros(4))
-        np.testing.assert_allclose(classify(params, np.array([1.0, 2.0])), 0.25)
+        np.testing.assert_allclose(self._zero_head(0.0), 0.25)
 
     def test_log_odds_bias(self):
-        b = np.log([1.0, 2.0, 3.0, 4.0])
-        params = ModelParams(None, None, [], np.zeros((4, 2)), b)
-        np.testing.assert_allclose(
-            classify(params, np.array([9.0, -9.0])), [0.1, 0.2, 0.3, 0.4], atol=1e-15
-        )
+        probs = self._zero_head(np.log([1.0, 2.0, 3.0, 4.0]))
+        np.testing.assert_allclose(probs, [0.1, 0.2, 0.3, 0.4], atol=1e-15)
 
     def test_eval_is_deterministic(self):
-        rng = np.random.default_rng(2)
-        params = ModelParams(None, None, [], rng.standard_normal((3, 4)), rng.standard_normal(3))
-        h = rng.standard_normal(4)
-        assert np.array_equal(classify(params, h), classify(params, h))
+        cfg = config64()
+        params = init_params(cfg, 2)
+        g = build_cosine_graph(np.random.default_rng(2).standard_normal((5, 4)), 0.3)
+        a = forward(params, cfg, g, mode="eval")[1]
+        assert np.array_equal(a, forward(params, cfg, g, mode="eval")[1])
 
     def test_simplex_at_model_scales(self):
         rng = np.random.default_rng(3)
@@ -191,8 +271,7 @@ class TestForward:
         # x = [1, -2]: pre-layer relu -> [1, 0]; aggregation is identity for a
         # single node; relu -> [1, 0]; skip doubles it -> [2, 0]; readout is
         # the row itself; identity head -> softmax([2, 0]).
-        cfg = ModelConfig(in_dim=2, hidden_dim=2, num_layers=1, num_classes=2, dtype="float64")
-        params = identity_params(2, 1, 2)
+        cfg, params = identity_params(2, 1, 2)
         g = build_temporal_graph(np.array([[1.0, -2.0]]))
         _, probs, _ = forward(params, cfg, g, mode="eval")
         e2 = math.exp(2.0)
@@ -231,7 +310,7 @@ class TestForward:
         h_mean = np.mean(finals, axis=0)
         np.testing.assert_allclose(cache.hs[-1], np.stack(finals), atol=1e-12)
         np.testing.assert_allclose(
-            probs, classify(params, h_mean), atol=1e-12
+            probs, softmax(params.w_out @ h_mean + params.b_out), atol=1e-12
         )
 
     def test_skip_shape_gating_without_pre(self):
@@ -286,7 +365,8 @@ class TestParamCount:
                 assert param_count(with_skip) == param_count(without)
 
     def test_formula_matches_actual_arrays(self):
-        # oracle: count the entries of actually-initialized parameters
+        # oracles: the closed-form count, and the entries of the arrays that
+        # forward actually reads
         rng = np.random.default_rng(9)
         for _ in range(25):
             cfg = ModelConfig(
@@ -297,7 +377,14 @@ class TestParamCount:
                 use_pre=bool(rng.integers(2)),
                 use_skip=bool(rng.integers(2)),
             )
-            assert param_count(cfg) == init_params(cfg, 0).size
+            z, d, c = cfg.hidden_dim, cfg.in_dim, cfg.num_classes
+            first_in = z if cfg.use_pre else d
+            expected = (z * d + z) * cfg.use_pre + z * first_in \
+                + z * z * (cfg.num_layers - 1) + c * z + c
+            params = init_params(cfg, 0)
+            used = [params.w_pre, params.b_pre, *params.w_msg, params.w_out, params.b_out]
+            assert param_count(cfg) == expected == params.flat.size
+            assert sum(a.size for a in used if a is not None) == expected
 
 
 class TestCheckpoint:
@@ -311,19 +398,17 @@ class TestCheckpoint:
         assert ckpt.config == cfg
         assert ckpt.class_names == ("a", "b", "c")
         assert ckpt.train_meta == {"gamma": 0.55, "graph_kind": "cosine"}
-        for (na, a), (nb, b) in zip(params.named_arrays(), ckpt.params.named_arrays()):
-            assert na == nb
-            assert np.array_equal(a, b)
-            assert a.dtype == b.dtype
+        assert ckpt.params.config == cfg
+        assert np.array_equal(params.flat, ckpt.params.flat)
+        assert ckpt.params.flat.dtype == np.float64
 
     def test_roundtrip_float32(self, tmp_path):
         cfg = ModelConfig(in_dim=4, hidden_dim=6, num_classes=3, dtype="float32")
         params = init_params(cfg, 5)
         save_checkpoint(tmp_path / "m.json", params, cfg, ("a", "b", "c"))
         ckpt = load_checkpoint(tmp_path / "m.json")
-        for (_, a), (_, b) in zip(params.named_arrays(), ckpt.params.named_arrays()):
-            assert np.array_equal(a, b)
-            assert b.dtype == np.float32
+        assert np.array_equal(params.flat, ckpt.params.flat)
+        assert ckpt.params.flat.dtype == np.float32
 
     def test_no_pre_roundtrip(self, tmp_path):
         cfg = config64(use_pre=False)
@@ -346,3 +431,15 @@ class TestCheckpoint:
         (tmp_path / "m.json").write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="format_version"):
             load_checkpoint(tmp_path / "m.json")
+
+    def test_parent_format_float64_reloads_bit_exactly(self, tmp_path):
+        # the fixture was written before parameters moved into one flat
+        # vector; the format must not change in either direction
+        ckpt = load_checkpoint(PARENT_CHECKPOINT)
+        cfg = ModelConfig(in_dim=3, hidden_dim=4, num_layers=2, num_classes=3,
+                          dtype="float64")
+        assert ckpt.config == cfg
+        assert np.array_equal(ckpt.params.flat, init_params(cfg, 5).flat)
+        save_checkpoint(tmp_path / "m.json", ckpt.params, ckpt.config, ckpt.class_names,
+                        standardizer=ckpt.standardizer, train_meta=ckpt.train_meta)
+        assert (tmp_path / "m.json").read_bytes() == PARENT_CHECKPOINT.read_bytes()

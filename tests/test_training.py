@@ -15,7 +15,6 @@ from cogcn import (
     backward,
     best_epoch,
     build_temporal_graph,
-    cross_entropy,
     cross_entropy_from_logits,
     evaluate,
     fit_standardizer,
@@ -24,7 +23,10 @@ from cogcn import (
     init_params,
     loso_cv,
     metrics_from_confusion,
+    param_count,
+    param_layout,
     run_fold,
+    softmax,
     synth_dataset,
     train,
     write_history_csv,
@@ -35,29 +37,28 @@ from cogcn.gradcheck import run_gradcheck
 
 class TestCrossEntropy:
     def test_uniform(self):
-        assert cross_entropy([0.25, 0.25, 0.25, 0.25], 0) == pytest.approx(math.log(4))
+        assert cross_entropy_from_logits([0.0, 0.0, 0.0, 0.0], 0) == pytest.approx(
+            math.log(4)
+        )
 
     def test_confident_correct(self):
-        assert cross_entropy([1.0, 0.0, 0.0], 0) == 0.0
+        assert cross_entropy_from_logits([0.0, -1000.0, -1000.0], 0) == 0.0
 
     def test_hand_value(self):
-        assert cross_entropy([0.1, 0.2, 0.3, 0.4], 3) == pytest.approx(
-            0.916290731874155
-        )
+        logits = np.log([0.1, 0.2, 0.3, 0.4])
+        assert cross_entropy_from_logits(logits, 3) == pytest.approx(0.916290731874155)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            cross_entropy([0.5, 0.5], 2)
+            cross_entropy_from_logits([0.5, 0.5], 2)
 
     def test_logits_route_matches_probs_route(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             logits = rng.standard_normal(5) * 3
-            probs = np.exp(logits - logits.max())
-            probs /= probs.sum()
             label = int(rng.integers(5))
             assert cross_entropy_from_logits(logits, label) == pytest.approx(
-                cross_entropy(probs, label), rel=1e-12
+                -math.log(softmax(logits)[label]), rel=1e-12
             )
 
     def test_non_negative(self):
@@ -107,6 +108,20 @@ class TestBackward:
         manual = (a.w_out + twice_a.w_out + b.w_out) / 3.0
         np.testing.assert_allclose(avg, manual, atol=1e-15)
 
+    def test_oracle_never_calls_backward(self, monkeypatch):
+        import cogcn.gradcheck as gc
+        import cogcn.training as tr
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the finite-difference oracle called backward")
+
+        monkeypatch.setattr(tr, "backward", refuse)
+        monkeypatch.setattr(gc, "backward", refuse)
+        instance = gc._draw_instance(np.random.default_rng(0), 0)
+        numeric = gc.finite_difference_grads(instance)
+        assert numeric.flat.shape == instance.params.flat.shape
+        assert np.all(np.isfinite(numeric.flat)) and np.any(numeric.flat != 0.0)
+
     def test_requires_train_cache(self):
         cfg = ModelConfig(in_dim=3, hidden_dim=4, num_layers=1, dtype="float64")
         params = init_params(cfg, 0)
@@ -117,55 +132,83 @@ class TestBackward:
 
 
 class TestAdam:
-    def _params(self, values):
-        return ModelParams(None, None, [], np.array(values, dtype=np.float64),
-                           np.zeros(1))
+    CFG = ModelConfig(in_dim=3, hidden_dim=3, num_layers=2, num_classes=2,
+                      use_pre=False, dtype="float64")
+
+    def _params(self, w_out):
+        params = init_params(self.CFG, 0)
+        params.w_out[...] = w_out
+        return params
+
+    def _grads(self, w_out):
+        grads = ModelParams(self.CFG)
+        grads.w_out[...] = w_out
+        return grads
 
     def test_first_step_is_signed_lr(self):
-        params = self._params([[1.0, -2.0, 3.0]])
-        grads = self._params([[0.5, -0.25, 2.0]])
-        grads.b_out = np.zeros(1)
+        params = self._params([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
+        grads = self._grads([[0.5, -0.25, 2.0], [0.0, 0.0, 0.0]])
         state = init_adam_state(params)
         new, state = adam_step(params, grads, state, lr=0.1, eps=1e-8)
         expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
         assert new.w_out[0, 0] == pytest.approx(expected, rel=1e-12)
         # each parameter moves by ~lr in the direction opposite the gradient
         moves = new.w_out - params.w_out
-        np.testing.assert_allclose(moves, [[-0.1, 0.1, -0.1]], rtol=1e-6)
+        np.testing.assert_allclose(moves, [[-0.1, 0.1, -0.1], [0.0, 0.0, 0.0]], rtol=1e-6)
+        np.testing.assert_array_equal(new.w_msg[0], params.w_msg[0])  # zero gradient
         assert state.t == 1
 
     def test_zero_gradient_keeps_params(self):
-        params = self._params([[1.0, 2.0]])
-        grads = self._params([[0.0, 0.0]])
-        grads.b_out = np.zeros(1)
+        params = self._params(1.0)
+        grads = ModelParams(self.CFG)
         state = init_adam_state(params)
         new, state = adam_step(params, grads, state, lr=0.1)
-        np.testing.assert_array_equal(new.w_out, params.w_out)
-        assert np.all(state.m["w_out"] == 0.0) and np.all(state.v["w_out"] == 0.0)
+        np.testing.assert_array_equal(new.flat, params.flat)
+        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     def test_identical_tensors_update_identically(self):
-        params = ModelParams(None, None, [np.ones((2, 2)), np.ones((2, 2))],
-                             np.zeros((2, 2)), np.zeros(2))
-        grads = ModelParams(None, None, [np.full((2, 2), 0.3), np.full((2, 2), 0.3)],
-                            np.zeros((2, 2)), np.zeros(2))
-        state = init_adam_state(params)
-        new, _ = adam_step(params, grads, state, lr=0.01)
+        params = init_params(self.CFG, 0)
+        grads = ModelParams(self.CFG)
+        for w, g in zip(params.w_msg, grads.w_msg):
+            w[...] = 1.0
+            g[...] = 0.3
+        new, _ = adam_step(params, grads, init_adam_state(params), lr=0.01)
         np.testing.assert_array_equal(new.w_msg[0], new.w_msg[1])
 
     def test_step_size_bounded_by_lr_at_t1(self):
         rng = np.random.default_rng(4)
-        params = self._params(rng.standard_normal((3, 3)))
-        grads = self._params(rng.standard_normal((3, 3)) * 100)
-        grads.b_out = np.zeros(1)
+        params = init_params(self.CFG, 0)
+        params.flat[...] = rng.standard_normal(params.flat.size)
+        grads = ModelParams(self.CFG, rng.standard_normal(params.flat.size) * 100)
         new, _ = adam_step(params, grads, init_adam_state(params), lr=0.05)
-        assert np.max(np.abs(new.w_out - params.w_out)) <= 0.05 * (1 + 1e-9)
+        assert np.max(np.abs(new.flat - params.flat)) <= 0.05 * (1 + 1e-9)
 
     def test_mismatched_shapes_rejected(self):
-        params = self._params([[1.0]])
-        grads = self._params([[1.0, 2.0]])
-        grads.b_out = np.zeros(1)
+        params = init_params(self.CFG, 0)
+        other = ModelConfig(in_dim=3, hidden_dim=4, num_layers=2, num_classes=2,
+                            use_pre=False, dtype="float64")
+        assert param_count(other) != param_count(self.CFG)
         with pytest.raises(ValueError, match="mismatch"):
-            adam_step(params, grads, init_adam_state(params), lr=0.1)
+            adam_step(params, ModelParams(other), init_adam_state(params), lr=0.1)
+
+    def test_matches_per_array_reference(self):
+        # Adam is elementwise, so the flat update must equal the textbook
+        # update applied to each named array separately, bit for bit
+        b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+        rng = np.random.default_rng(6)
+        params = init_params(self.CFG, 1)
+        state = init_adam_state(params)
+        for t in (1, 2, 3):
+            grads = ModelParams(self.CFG, rng.standard_normal(params.flat.size))
+            new, new_state = adam_step(params, grads, state, lr, b1, b2, eps)
+            for name, shape, offset in param_layout(self.CFG):
+                part = slice(offset, offset + math.prod(shape))
+                g = grads.arrays[name]
+                m = b1 * state.m[part].reshape(shape) + (1.0 - b1) * g
+                v = b2 * state.v[part].reshape(shape) + (1.0 - b2) * (g * g)
+                step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+                assert np.array_equal(new.arrays[name], params.arrays[name] - step)
+            params, state = new, new_state
 
 
 class TestMetrics:
@@ -229,8 +272,7 @@ class TestTrainLoop:
         p1, h1 = train(train_ds, val_ds, self._tc())
         p2, h2 = train(train_ds, val_ds, self._tc())
         assert h1 == h2
-        for (_, a), (_, b) in zip(p1.named_arrays(), p2.named_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p1.flat, p2.flat)
 
     def test_loss_decreases_on_separable_data(self):
         ds = small_corpus(noise=0.0, sep=6.0)

@@ -17,6 +17,7 @@ from cogcn import (
     best_epoch,
     evaluate,
     fit_standardizer,
+    prepare_graphs,
     synth_dataset,
     train,
     write_history_csv,
@@ -36,11 +37,15 @@ stats = fit_standardizer(dataset, train_ids)
 std = apply_standardizer(dataset, stats)
 
 config = ModelConfig(in_dim=8, hidden_dim=16, num_layers=2, num_classes=4)
-tc = TrainConfig(model=config, lr=1e-3, epochs=50, batch_size=16, gamma=0.5,
-                 seed=0, graph_kind="cosine")
+tc = TrainConfig(model=config, lr=1e-3, epochs=50, batch_size=16, seed=0,
+                 graph_kind="cosine")
 
+# train() fits graphs built once up front: one per utterance, at one gamma
+gamma = 0.5
 params, history = train(
-    std.subset_speakers(train_speakers), std.subset_speakers([val_speaker]), tc
+    prepare_graphs(std.subset_speakers(train_speakers), gamma, tc.graph_kind, config),
+    prepare_graphs(std.subset_speakers([val_speaker]), gamma, tc.graph_kind, config),
+    tc,
 )
 
 print("\nepoch  train_loss  val_wa  val_ua")
@@ -50,7 +55,7 @@ best = history[best_epoch(history)]
 print(f"\nbest validation epoch: {best.epoch} (ua {best.val_ua:.3f})")
 
 metrics = evaluate(params, config, std.subset_speakers([test_speaker]),
-                   tc.gamma, tc.graph_kind)
+                   gamma, tc.graph_kind)
 print(f"held-out speaker {test_speaker}: wa {metrics.wa:.3f} ua {metrics.ua:.3f}")
 print("confusion (rows true, cols predicted):")
 print(metrics.confusion)

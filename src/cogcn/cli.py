@@ -123,7 +123,7 @@ def _train_config(args, dataset) -> TrainConfig:
     model = ModelConfig(
         in_dim=dataset.d,
         hidden_dim=args.z,
-        num_layers=(args.k if args.k is not None else args.k_grid[0]),
+        num_layers=args.k[0],
         num_classes=dataset.n_classes,
         use_pre=not args.no_pre,
         use_skip=not args.no_skip,
@@ -131,16 +131,13 @@ def _train_config(args, dataset) -> TrainConfig:
         self_in_aggregation=not args.no_self_agg,
         dtype=args.dtype,
     )
-    k_grid = (args.k,) if args.k is not None else args.k_grid
-    gamma_grid = (args.gamma,) if args.gamma is not None else args.gamma_grid
     return TrainConfig(
         model=model,
         lr=args.lr,
         epochs=args.epochs,
         batch_size=args.batch,
-        gamma=gamma_grid[0],
-        gamma_grid=gamma_grid,
-        k_grid=k_grid,
+        gamma_grid=args.gamma,
+        k_grid=args.k,
         seed=args.seed,
         graph_kind=args.graph,
     )
@@ -318,12 +315,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train with leave-one-speaker-out CV")
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--graph", choices=("cosine", "temporal"), default="cosine")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="fix the similarity threshold (otherwise the grid is searched)")
-    p.add_argument("--gamma-grid", type=_float_list, default=(0.5, 0.55, 0.6))
-    p.add_argument("--k", type=int, default=None,
-                   help="fix the layer count (otherwise the grid is searched)")
-    p.add_argument("--k-grid", type=_int_list, default=(2, 3, 4))
+    p.add_argument("--gamma", type=_float_list, default=(0.5, 0.55, 0.6),
+                   help="similarity thresholds searched per fold, comma-separated; "
+                   "one value fixes it")
+    p.add_argument("--k", type=_int_list, default=(2, 3, 4),
+                   help="layer counts searched per fold, comma-separated; one value fixes it")
     p.add_argument("--z", type=int, default=128, help="hidden units")
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--lr", type=float, default=1e-3)

@@ -403,22 +403,13 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
             n_vacuum = int(round(spec.noise_frac * n))
             # vacuum frames form one contiguous run, like a real silence region
             start = int(rng.integers(0, n - n_vacuum + 1))
-            vacuum_pos = set(range(start, start + n_vacuum))
             voiced = (
                 centroids[label]
                 + speaker_offsets[s]
                 + rng.standard_normal((n - n_vacuum, spec.d))
             )
             vacuum = _VACUUM_STD * rng.standard_normal((n_vacuum, spec.d))
-            frames = np.empty((n, spec.d), dtype=np.float64)
-            vi = wi = 0
-            for pos in range(n):
-                if pos in vacuum_pos:
-                    frames[pos] = vacuum[wi]
-                    wi += 1
-                else:
-                    frames[pos] = voiced[vi]
-                    vi += 1
+            frames = np.concatenate([voiced[:start], vacuum, voiced[start:]])
             utterances.append(
                 Utterance(
                     id=f"{speaker}_u{u:03d}",

@@ -29,18 +29,14 @@ GRAPH_KINDS = ("cosine", "temporal")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer, schedule, graph construction, and selection grids."""
+    """Optimizer, schedule, graph kind, and the per-fold selection grids."""
 
     model: ModelConfig
     lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 32
-    gamma: float = 0.5
     gamma_grid: tuple = (0.5, 0.55, 0.6)
     k_grid: tuple = (2, 3, 4)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     graph_kind: str = "cosine"
 
@@ -53,6 +49,15 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.gamma_grid or not self.k_grid:
             raise ValueError("selection grids must be non-empty")
+        if min(self.k_grid) < 1:
+            raise ValueError(f"every K in the grid must be >= 1, got {self.k_grid}")
+        if not all(-1.0 < g <= 1.0 for g in self.gamma_grid):
+            raise ValueError(
+                f"every gamma in the grid must be in (-1, 1], got {self.gamma_grid}"
+            )
+        for name, grid in (("K", self.k_grid), ("gamma", self.gamma_grid)):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"the {name} grid repeats a value: {grid}")
         if self.graph_kind not in GRAPH_KINDS:
             raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
         if self.seed < 0:
@@ -192,6 +197,7 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
 
 @dataclass(frozen=True)
 class PreparedGraph:
+    id: str
     x: np.ndarray
     coeffs: np.ndarray
     label: int
@@ -213,6 +219,7 @@ def prepare_graphs(
         coeffs = norm_coefficients(g, include_self=config.self_in_aggregation)
         prepared.append(
             PreparedGraph(
+                id=utt.id,
                 x=np.ascontiguousarray(utt.features, dtype=dt),
                 coeffs=np.ascontiguousarray(coeffs, dtype=dt),
                 label=utt.label,
@@ -258,38 +265,25 @@ class EpochStats:
 
 
 def train(
-    dataset_train: Dataset,
-    dataset_val: Dataset,
+    prepared_train: list[PreparedGraph],
+    prepared_val: list[PreparedGraph],
     tc: TrainConfig,
-    prepared_train: list[PreparedGraph] | None = None,
-    prepared_val: list[PreparedGraph] | None = None,
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Seeded epoch loop; returns the parameters of the best-val-UA epoch.
+    """Seeded epoch loop on prepared graphs; returns the best-val-UA parameters.
 
     Per epoch: shuffle, split into batches, accumulate per-graph gradients in
     ascending utterance order, average, one Adam step per batch. Ties in
-    validation UA keep the earliest epoch. ``prepared_*`` can be passed to
-    reuse graph construction across calls; they must match the datasets.
+    validation UA keep the earliest epoch. A non-finite training loss or
+    parameter vector stops the run with ``ValueError``.
     """
-    if dataset_val is None or not dataset_val.utterances:
+    if not prepared_val:
         raise ValueError("validation set required for model selection")
-    if not dataset_train.utterances:
+    if not prepared_train:
         raise ValueError("empty training set")
-    if dataset_train.d != dataset_val.d:
-        raise ValueError("train/val feature dimensions differ")
-    overlap = set(dataset_train.ids) & set(dataset_val.ids)
+    overlap = {pg.id for pg in prepared_train} & {pg.id for pg in prepared_val}
     if overlap:
         raise ValueError(f"train/val share utterance ids: {sorted(overlap)[:5]}")
     config = tc.model
-    if config.in_dim != dataset_train.d:
-        raise ValueError(
-            f"config.in_dim {config.in_dim} does not match dataset d={dataset_train.d}"
-        )
-
-    if prepared_train is None:
-        prepared_train = prepare_graphs(dataset_train, tc.gamma, tc.graph_kind, config)
-    if prepared_val is None:
-        prepared_val = prepare_graphs(dataset_val, tc.gamma, tc.graph_kind, config)
 
     rng_shuffle = substream(tc.seed, "shuffle")
     rng_dropout = substream(tc.seed, "dropout")
@@ -314,13 +308,16 @@ def train(
                 loss_sum += cross_entropy_from_logits(logits, pg.label)
                 grads.flat += backward(params, config, cache, pg.label).flat
             grads.flat *= 1.0 / len(batch)
-            params, state = adam_step(
-                params, grads, state, tc.lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps
+            params, state = adam_step(params, grads, state, tc.lr)
+        train_loss = loss_sum / n_train
+        n_bad = int(np.count_nonzero(~np.isfinite(params.flat)))
+        if n_bad or not np.isfinite(train_loss):
+            raise ValueError(
+                f"training diverged at epoch {epoch} with K={config.num_layers}: "
+                f"train_loss {train_loss}, {n_bad} non-finite parameters"
             )
         val_metrics = _evaluate_prepared(params, config, prepared_val)
-        history.append(
-            EpochStats(epoch, loss_sum / n_train, val_metrics.wa, val_metrics.ua)
-        )
+        history.append(EpochStats(epoch, train_loss, val_metrics.wa, val_metrics.ua))
         if val_metrics.ua > best_ua:
             best_ua = val_metrics.ua
             best_params = params.copy()
@@ -386,8 +383,8 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
 
     The lexicographically next speaker is held out for validation; the
     standardizer is fit on the remaining training speakers only. (K, gamma)
-    are selected jointly by best validation UA, iterating K then gamma and
-    keeping the earliest combination on ties. The fold's RNG stream is
+    are selected jointly by best validation UA, keeping the earliest
+    combination in K-major order on ties. The fold's RNG stream is
     ``tc.seed`` XOR ``fold_index``, so folds are independent and may run in
     parallel with results identical to serial execution.
     """
@@ -408,25 +405,23 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     fold_seed = tc.seed ^ fold_index
     gammas = tc.gamma_grid if tc.graph_kind == "cosine" else (tc.gamma_grid[0],)
 
+    # gamma-major, so that only one gamma's graphs are alive at a time; the
+    # rank keeps the K-major rule: best validation UA, earliest (K, gamma)
     best = None
-    prepared_cache: dict[float, tuple] = {}
-    for k in tc.k_grid:
-        config_k = replace(tc.model, num_layers=int(k))
-        for gamma in gammas:
-            if gamma not in prepared_cache:
-                prepared_cache[gamma] = (
-                    prepare_graphs(ds_train, gamma, tc.graph_kind, tc.model),
-                    prepare_graphs(ds_val, gamma, tc.graph_kind, tc.model),
-                )
-            p_train, p_val = prepared_cache[gamma]
-            tc_run = replace(tc, model=config_k, gamma=gamma, seed=fold_seed)
-            params, history = train(ds_train, ds_val, tc_run, p_train, p_val)
+    for gi, gamma in enumerate(gammas):
+        p_train = prepare_graphs(ds_train, gamma, tc.graph_kind, tc.model)
+        p_val = prepare_graphs(ds_val, gamma, tc.graph_kind, tc.model)
+        for ki, k in enumerate(tc.k_grid):
+            config_k = replace(tc.model, num_layers=int(k))
+            tc_run = replace(tc, model=config_k, seed=fold_seed)
+            params, history = train(p_train, p_val, tc_run)
             epoch_idx = best_epoch(history)
-            score = history[epoch_idx].val_ua
-            if best is None or score > best[0]:
-                best = (score, int(k), gamma, params, history, epoch_idx, config_k)
+            rank = (history[epoch_idx].val_ua, -ki, -gi)
+            if best is None or rank > best[0]:
+                best = (rank, int(k), gamma, params, history, epoch_idx, config_k)
+        del p_train, p_val
 
-    score, sel_k, sel_gamma, params, history, epoch_idx, config_k = best
+    (score, _, _), sel_k, sel_gamma, params, history, epoch_idx, config_k = best
     test_metrics = evaluate(params, config_k, ds_test, sel_gamma, tc.graph_kind)
     return FoldResult(
         speaker=test_speaker,

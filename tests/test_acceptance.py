@@ -22,6 +22,7 @@ from cogcn import (
     init_params,
     loso_cv,
     param_count,
+    prepare_graphs,
     synth_dataset,
     train,
     write_metrics_json,
@@ -171,9 +172,9 @@ def test_criterion_5_optimization_sanity():
     ds_train = std.subset_speakers([s for s in std.speakers if s != holdout])
     ds_val = std.subset_speakers([holdout])
     cfg = ModelConfig(in_dim=8, hidden_dim=16, num_layers=2, num_classes=4)
-    tc = TrainConfig(model=cfg, lr=1e-3, epochs=50, batch_size=32, gamma=0.5,
-                     seed=0)
-    _, history = train(ds_train, ds_val, tc)
+    tc = TrainConfig(model=cfg, lr=1e-3, epochs=50, batch_size=32, seed=0)
+    _, history = train(prepare_graphs(ds_train, 0.5, "cosine", cfg),
+                       prepare_graphs(ds_val, 0.5, "cosine", cfg), tc)
     min_loss = min(s.train_loss for s in history)
     elapsed = time.monotonic() - t0
     _report(

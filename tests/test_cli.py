@@ -109,6 +109,26 @@ class TestTrain:
         assert ckpt["config"]["use_skip"] is False
         assert ckpt["train_meta"]["graph_kind"] == "temporal"
 
+    # lr 1e30 turns the float32 loss nan in epoch 2; lr 1e39 overflows the
+    # parameters in the last step of the only epoch, after a finite loss
+    @pytest.mark.parametrize("lr, epochs, message", [
+        (1e30, 5, "diverged at epoch 2 with K=1: train_loss nan"),
+        (1e39, 1, "diverged at epoch 1 with K=1: train_loss 0.99"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_run_fails_without_metrics(self, tmp_path, capsys, lr, epochs, message):
+        data = tmp_path / "tiny"
+        assert run(["synth", "--classes", 2, "--speakers", 3, "--utts", 6, "--frames-lo", 4,
+                    "--frames-hi", 8, "--dim", 4, "--seed", 0, "-o", data]) == 0
+        out = tmp_path / "r"
+        code = run(["train", "--data", data, "--lr", lr, "--dtype", "float32", "--k", 1,
+                    "--gamma", 0.5, "--z", 4, "--epochs", epochs, "-o", out])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        assert not list(out.glob("fold_*"))
+
     def test_input_dir_never_mutated(self, tmp_path, data_dir):
         before = dir_digest(data_dir, exclude=())
         run(["train", "--data", data_dir, "--k", 1, "--z", 8, "--epochs", 2,
@@ -244,9 +264,17 @@ class TestDiag:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
-    def test_usage_error_exit_code(self, tmp_path, data_dir):
+    def test_usage_error_exit_code(self, tmp_path, data_dir, capsys):
         assert run(["train"]) == 1  # missing required flags
         assert run(["nonsense"]) == 1
-        # --k 0 is a layer count, not "unset": it must not fall back to the grid
+        # --k 0 is a layer count below 1, not "unset"
         assert run(["train", "--data", data_dir, "--k", 0, "--z", 8, "--epochs", 1,
                     "--holdout", "spk00", "-o", tmp_path / "k0"]) == 1
+        # bad grids are rejected before any setting is trained
+        for flag, grid, message in (("--k", "1,0", "every K in the grid must be >= 1"),
+                                    ("--gamma", "0.5,1.5", "must be in (-1, 1]"),
+                                    ("--k", "1,1", "the K grid repeats a value")):
+            capsys.readouterr()
+            assert run(["train", "--data", data_dir, flag, grid, "--z", 8, "--epochs", 1,
+                        "--holdout", "spk00", "-o", tmp_path / "grid"]) == 1
+            assert message in capsys.readouterr().err

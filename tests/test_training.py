@@ -1,6 +1,7 @@
 """Loss, backward vs finite differences, Adam, the training loop, metrics, CV."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cogcn import (
     metrics_from_confusion,
     param_count,
     param_layout,
+    prepare_graphs,
     run_fold,
     softmax,
     synth_dataset,
@@ -258,40 +260,52 @@ def standardized_split(ds, test_speakers):
     return train_ds, val_ds
 
 
+def prepared(ds, config, gamma=0.5):
+    return prepare_graphs(ds, gamma, "cosine", config)
+
+
 class TestTrainLoop:
     def _tc(self, seed=0, **kwargs):
         cfg = ModelConfig(in_dim=6, hidden_dim=8, num_layers=2, num_classes=4,
                           dtype="float64")
-        defaults = dict(model=cfg, epochs=8, seed=seed, gamma=0.5)
+        defaults = dict(model=cfg, epochs=8, seed=seed)
         defaults.update(kwargs)
         return TrainConfig(**defaults)
 
+    def _split(self, **corpus):
+        train_ds, val_ds = standardized_split(small_corpus(**corpus), ["spk03"])
+        cfg = self._tc().model
+        return prepared(train_ds, cfg), prepared(val_ds, cfg)
+
     def test_deterministic_bitwise_float64(self):
-        ds = small_corpus()
-        train_ds, val_ds = standardized_split(ds, ["spk03"])
-        p1, h1 = train(train_ds, val_ds, self._tc())
-        p2, h2 = train(train_ds, val_ds, self._tc())
+        p_train, p_val = self._split()
+        p1, h1 = train(p_train, p_val, self._tc())
+        p2, h2 = train(p_train, p_val, self._tc())
         assert h1 == h2
         assert np.array_equal(p1.flat, p2.flat)
 
     def test_loss_decreases_on_separable_data(self):
-        ds = small_corpus(noise=0.0, sep=6.0)
-        train_ds, val_ds = standardized_split(ds, ["spk03"])
-        _, history = train(train_ds, val_ds,
+        p_train, p_val = self._split(noise=0.0, sep=6.0)
+        _, history = train(p_train, p_val,
                            self._tc(epochs=50, batch_size=4, lr=3e-3))
         assert min(s.train_loss for s in history) < 0.1
 
     def test_empty_val_rejected(self):
-        ds = small_corpus()
-        train_ds, _ = standardized_split(ds, ["spk03"])
+        p_train, _ = self._split()
         with pytest.raises(ValueError, match="validation set required"):
-            train(train_ds, None, self._tc())
+            train(p_train, None, self._tc())
 
     def test_overlapping_ids_rejected(self):
-        ds = small_corpus()
-        train_ds, _ = standardized_split(ds, ["spk03"])
+        p_train, _ = self._split()
         with pytest.raises(ValueError, match="share"):
-            train(train_ds, train_ds, self._tc())
+            train(p_train, p_train, self._tc())
+
+    def test_width_mismatch_rejected(self):
+        p_train, p_val = self._split()
+        narrow = self._tc(model=ModelConfig(in_dim=5, hidden_dim=8, num_classes=4,
+                                            dtype="float64"))
+        with pytest.raises(ValueError, match="input width 6"):
+            train(p_train, p_val, narrow)
 
     def test_best_epoch_ties_take_earliest(self):
         from cogcn import EpochStats
@@ -304,9 +318,8 @@ class TestTrainLoop:
         assert best_epoch(history) == 1
 
     def test_history_csv_schema(self, tmp_path):
-        ds = small_corpus()
-        train_ds, val_ds = standardized_split(ds, ["spk03"])
-        _, history = train(train_ds, val_ds, self._tc(epochs=3))
+        p_train, p_val = self._split()
+        _, history = train(p_train, p_val, self._tc(epochs=3))
         path = tmp_path / "history.csv"
         write_history_csv(history, path)
         lines = path.read_text().splitlines()
@@ -339,9 +352,8 @@ class TestEvaluate:
         train_ds, val_ds = standardized_split(ds, ["spk03"])
         cfg = ModelConfig(in_dim=6, hidden_dim=8, num_layers=2, num_classes=4,
                           dtype="float64")
-        tc = TrainConfig(model=cfg, epochs=40, batch_size=4, lr=3e-3,
-                         seed=0, gamma=0.5)
-        params, history = train(train_ds, val_ds, tc)
+        tc = TrainConfig(model=cfg, epochs=40, batch_size=4, lr=3e-3, seed=0)
+        params, history = train(prepared(train_ds, cfg), prepared(val_ds, cfg), tc)
         best = history[best_epoch(history)]
         m = evaluate(params, cfg, val_ds, 0.5, "cosine")
         assert m.ua == best.val_ua and m.wa == best.val_wa
@@ -420,6 +432,32 @@ class TestLosoCV:
         assert obj["mean_wa"] == pytest.approx(
             np.mean([f["wa"] for f in obj["folds"]])
         )
+
+    @pytest.mark.parametrize("scores, expected", [
+        ({}, (1, 0.5)),  # every setting ties: the first of both grids
+        ({(2, 0.5): 0.9, (1, 0.6): 0.8}, (2, 0.5)),  # unique maximum
+        ({(2, 0.5): 0.9, (1, 0.6): 0.9}, (1, 0.6)),  # tie: the earlier K wins
+    ])
+    def test_selection_rule(self, monkeypatch, scores, expected):
+        from cogcn import EpochStats, training
+
+        gammas = []
+        prepare = training.prepare_graphs
+
+        def recording_prepare(ds, gamma, *args):
+            gammas.append(gamma)
+            return prepare(ds, gamma, *args)
+
+        def canned_train(p_train, p_val, tc):
+            ua = scores.get((tc.model.num_layers, gammas[-1]), 0.5)
+            return init_params(tc.model, 0), [EpochStats(1, 1.0, ua, ua)]
+
+        monkeypatch.setattr(training, "prepare_graphs", recording_prepare)
+        monkeypatch.setattr(training, "train", canned_train)
+        tc = replace(self._tc(), k_grid=(1, 2, 3), gamma_grid=(0.5, 0.55, 0.6))
+        fold = run_fold(small_corpus(speakers=3), tc, 0)
+        assert (fold.selected_k, fold.selected_gamma) == expected
+        assert fold.best_val_ua == scores.get(expected, 0.5)
 
     def test_temporal_kind_skips_gamma_grid(self):
         ds = small_corpus(speakers=3)

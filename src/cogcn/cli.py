@@ -32,6 +32,7 @@ from .gradcheck import run_gradcheck
 from .model import ModelConfig, load_checkpoint, param_count, save_checkpoint
 from .training import (
     TrainConfig,
+    check_grids,
     evaluate,
     CVResult,
     loso_cv,
@@ -120,6 +121,8 @@ def cmd_synth(args) -> int:
 
 
 def _train_config(args, dataset) -> TrainConfig:
+    # before the model config takes its K from the grid, so a fault names the grid
+    check_grids(args.k, args.gamma)
     model = ModelConfig(
         in_dim=dataset.d,
         hidden_dim=args.z,
@@ -187,6 +190,7 @@ def cmd_train(args) -> int:
         )
 
     config_dict = {**asdict(tc), "jobs": args.jobs, "holdout": args.holdout}
+    del config_dict["model"]["num_layers"]  # each fold selects its K from k_grid
     _write_run_manifest(out, "train", config_dict, started,
                         inputs={"data": str(args.data)}, outputs=outputs)
     print(f"mean_wa={result.mean_wa:.6f} mean_ua={result.mean_ua:.6f}")

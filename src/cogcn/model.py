@@ -15,6 +15,14 @@ dimension to the hidden width, so the first skip is shape-gated. The forward
 cache retains every intermediate needed for exact reverse-mode gradients
 (see ``training.backward``). Every learnable array is a view into one flat
 vector laid out by ``param_layout``.
+
+The same code runs one graph, ``x`` (n, d) and ``coeffs`` (n, n), or a group
+of graphs zero-padded to a common length, ``x`` (B, N, d) and ``coeffs``
+(B, N, N) with the true lengths in ``n_nodes``. Every product acts on the
+last two axes, and padding rows are zeroed once after the pre-layer and stay
+zero in every layer. The padding adds only exact zeros to each graph's sums,
+so a graph gets the bits of its own call wherever BLAS sums in an order that
+does not depend on the padded length (see tests/test_batching.py).
 """
 
 from __future__ import annotations
@@ -100,7 +108,9 @@ class ModelParams:
     layout name to its view, and ``w_pre``/``b_pre`` (None without the
     pre-layer), ``w_msg[k]``, ``w_out`` and ``b_out`` are the same views, so
     writing through any of them writes ``flat``. Optimizers and gradient
-    checks work on ``flat`` alone.
+    checks work on ``flat`` alone. The gradients of a group of graphs have
+    ``flat`` of shape (B, size), one row per graph, and views with a leading
+    B axis.
     """
 
     __slots__ = ("config", "flat", "arrays", "w_pre", "b_pre", "w_msg", "w_out", "b_out")
@@ -109,12 +119,12 @@ class ModelParams:
         size = param_count(config)
         if flat is None:
             flat = np.zeros(size, dtype=config.np_dtype)
-        elif flat.shape != (size,):
+        elif flat.shape[-1:] != (size,):
             raise ValueError(f"flat parameter vector has shape {flat.shape}, expected ({size},)")
         self.config = config
         self.flat = flat
         self.arrays = {
-            name: flat[offset : offset + math.prod(shape)].reshape(shape)
+            name: flat[..., offset : offset + math.prod(shape)].reshape(flat.shape[:-1] + shape)
             for name, shape, offset in param_layout(config)
         }
         self.w_pre = self.arrays.get("w_pre")
@@ -137,6 +147,8 @@ class ForwardCache:
 
     x: np.ndarray
     coeffs: np.ndarray
+    counts: np.ndarray | int  # node count(s) the readout divides by
+    node_mask: np.ndarray | None  # (B, N, 1) true for real nodes; None for one graph
     pre_act: np.ndarray | None  # pre-layer pre-activation, None when pre is off
     hs: list  # h_0 .. h_K
     aggs: list  # coeffs @ h_k per layer
@@ -155,10 +167,10 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted)."""
-    shifted = logits - logits.max()
+    """Numerically stable softmax (max-subtracted) over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -173,12 +185,19 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
-def sample_dropout_mask(config: ModelConfig, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: entries 0 or 1/(1-p), keep probability 1-p."""
+def sample_dropout_mask(
+    config: ModelConfig, rng: np.random.Generator, count: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Inverted-dropout mask: entries 0 or 1/(1-p), keep probability 1-p.
+
+    ``count=(B,)`` draws B masks, one row each, from the same stream as B
+    single draws.
+    """
     dt = config.np_dtype
+    shape = count + (config.hidden_dim,)
     if config.dropout == 0.0:
-        return np.ones(config.hidden_dim, dtype=dt)
-    keep = rng.random(config.hidden_dim) >= config.dropout
+        return np.ones(shape, dtype=dt)
+    keep = rng.random(shape) >= config.dropout
     return (keep / (1.0 - config.dropout)).astype(dt)
 
 
@@ -194,24 +213,35 @@ def forward_arrays(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     dropout_mask: np.ndarray | None = None,
+    n_nodes: np.ndarray | None = None,
 ):
     """Forward pass on pre-extracted node features and aggregation coefficients.
 
-    Returns (logits, probs, cache). In train mode a dropout mask is sampled
-    from ``rng`` unless one is supplied explicitly (gradient checking fixes
-    the mask so the loss stays deterministic under parameter perturbation).
+    Takes one graph, or a zero-padded group with its node counts in
+    ``n_nodes`` (see the module docstring). Returns (logits, probs, cache),
+    with a leading group axis for a group. In train mode one dropout mask per
+    graph is sampled from ``rng`` unless masks are supplied explicitly
+    (gradient checking fixes the mask so the loss stays deterministic under
+    parameter perturbation).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got '{mode}'")
     dt = config.np_dtype
     x = np.ascontiguousarray(x, dtype=dt)
     coeffs = np.ascontiguousarray(coeffs, dtype=dt)
-    if x.shape[1] != config.in_dim:
-        raise ValueError(f"input width {x.shape[1]} != config.in_dim {config.in_dim}")
+    if x.shape[-1] != config.in_dim:
+        raise ValueError(f"input width {x.shape[-1]} != config.in_dim {config.in_dim}")
+    if n_nodes is None:
+        counts, node_mask = x.shape[-2], None
+    else:
+        counts = np.asarray(n_nodes, dtype=dt)[:, None]
+        node_mask = (np.arange(x.shape[-2]) < counts)[..., None]
 
     if config.use_pre:
         pre_act = x @ params.w_pre.T + params.b_pre
         h = _relu(pre_act)
+        if node_mask is not None:
+            h *= node_mask  # padding rows were relu(b_pre); zero rows stay zero
     else:
         pre_act = None
         h = x
@@ -233,22 +263,26 @@ def forward_arrays(
         hs.append(h_new)
         h = h_new
 
-    h_graph = h.mean(axis=0)
+    h_graph = h.sum(axis=-2) / counts
     if mode == "train":
         if dropout_mask is None:
             if rng is None and config.dropout > 0.0:
                 raise ValueError("train mode needs an rng (or an explicit dropout mask)")
-            dropout_mask = sample_dropout_mask(config, rng)
+            dropout_mask = sample_dropout_mask(config, rng, h_graph.shape[:-1])
         h_dropped = h_graph * dropout_mask
     else:
         dropout_mask = None
         h_dropped = h_graph
 
-    logits = params.w_out @ h_dropped + params.b_out
+    # one matrix-vector product per graph: a (B, z) @ (z, C) product rounds
+    # differently from a single graph's
+    logits = np.matmul(params.w_out, h_dropped[..., None])[..., 0] + params.b_out
     probs = softmax(logits)
     cache = ForwardCache(
         x=x,
         coeffs=coeffs,
+        counts=counts,
+        node_mask=node_mask,
         pre_act=pre_act,
         hs=hs,
         aggs=aggs,

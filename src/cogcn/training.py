@@ -3,8 +3,9 @@
 Gradients are derived by hand as the exact reverse-mode differential of the
 forward pipeline in ``model`` composed with softmax cross-entropy; the
 ``gradcheck`` module verifies them against central finite differences.
-Training batches accumulate per-graph gradients (in ascending utterance
-order), average them, and take one Adam step per batch. Cross-validation
+Training runs each batch as a few length groups, one padded forward and
+backward per group, sums the per-graph gradients in ascending utterance
+order, averages them, and takes one Adam step per batch. Cross-validation
 holds out one speaker per fold for testing plus the lexicographically next
 speaker for validation-based selection of the layer count and similarity
 threshold.
@@ -21,10 +22,16 @@ import numpy as np
 
 from .features import Dataset, StandardizeStats, apply_standardizer, fit_standardizer
 from .graph import build_cosine_graph, build_temporal_graph, norm_coefficients
-from .model import ForwardCache, ModelConfig, ModelParams, forward_arrays, init_params
+from .model import (ForwardCache, ModelConfig, ModelParams, forward_arrays, init_params,
+                    param_count, sample_dropout_mask)
 from .util import substream, write_text_atomic
 
 GRAPH_KINDS = ("cosine", "temporal")
+
+# Coefficient entries, members * N_max**2, that one padded group may hold.
+# Short graphs share a call; long ones run alone, because a larger padded
+# block no longer fits in cache.
+MAX_GROUP_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -47,34 +54,44 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.gamma_grid or not self.k_grid:
-            raise ValueError("selection grids must be non-empty")
-        if min(self.k_grid) < 1:
-            raise ValueError(f"every K in the grid must be >= 1, got {self.k_grid}")
-        if not all(-1.0 < g <= 1.0 for g in self.gamma_grid):
-            raise ValueError(
-                f"every gamma in the grid must be in (-1, 1], got {self.gamma_grid}"
-            )
-        for name, grid in (("K", self.k_grid), ("gamma", self.gamma_grid)):
-            if len(set(grid)) != len(grid):
-                raise ValueError(f"the {name} grid repeats a value: {grid}")
+        check_grids(self.k_grid, self.gamma_grid)
         if self.graph_kind not in GRAPH_KINDS:
             raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
+def check_grids(k_grid: tuple, gamma_grid: tuple) -> None:
+    """Reject an empty grid, a K below 1, a gamma outside (-1, 1] or a repeat."""
+    if not gamma_grid or not k_grid:
+        raise ValueError("selection grids must be non-empty")
+    if min(k_grid) < 1:
+        raise ValueError(f"every K in the grid must be >= 1, got {k_grid}")
+    if not all(-1.0 < g <= 1.0 for g in gamma_grid):
+        raise ValueError(f"every gamma in the grid must be in (-1, 1], got {gamma_grid}")
+    for name, grid in (("K", k_grid), ("gamma", gamma_grid)):
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"the {name} grid repeats a value: {grid}")
+
+
 # ---------------------------------------------------------------------------
 # loss
 
 
-def cross_entropy_from_logits(logits, label: int) -> float:
-    """Softmax cross-entropy -log(softmax(logits)[label]), computed in log space."""
+def cross_entropy_from_logits(logits, label):
+    """Softmax cross-entropy -log(softmax(logits)[label]), computed in log space.
+
+    For a group's logits (B, C) and B labels it returns the B losses as an
+    array; for one graph, a float.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
+    labels = np.asarray(label)
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
+        raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    picked = shifted[label] if shifted.ndim == 1 else shifted[np.arange(len(labels)), labels]
+    loss = np.log(np.exp(shifted).sum(axis=-1)) - picked
+    return float(loss) if loss.ndim == 0 else loss
 
 
 # ---------------------------------------------------------------------------
@@ -82,46 +99,54 @@ def cross_entropy_from_logits(logits, label: int) -> float:
 
 
 def backward(
-    params: ModelParams, config: ModelConfig, cache: ForwardCache, label: int
+    params: ModelParams, config: ModelConfig, cache: ForwardCache, label
 ) -> ModelParams:
     """Exact gradients of softmax cross-entropy w.r.t. every parameter.
 
     Follows every path: head, dropout mask, mean readout, skip connections,
     the shared aggregation coefficients, and the optional pre-layer. Requires
-    a train-mode cache from ``forward`` on the same parameters.
+    a train-mode cache from ``forward`` on the same parameters. For a group's
+    cache ``label`` holds one label per graph, and the result holds one
+    gradient row per graph: ``flat`` has shape (B, size).
     """
     if cache.mode != "train":
         raise ValueError("backward requires a train-mode forward cache")
     if len(cache.mp_preacts) != config.num_layers:
         raise ValueError("cache does not match config (layer count differs)")
-    if not 0 <= label < config.num_classes:
+    labels = np.asarray(label)
+    if labels.shape != cache.logits.shape[:-1]:
+        raise ValueError(f"{labels.size} labels for logits of shape {cache.logits.shape}")
+    if labels.min() < 0 or labels.max() >= config.num_classes:
         raise ValueError(f"label {label} out of range")
 
-    # written in place into the views of one flat vector, so that summing a
-    # batch is a single vector add
-    grads = ModelParams(config)
+    # every entry is written in place into the views of the flat rows
+    dt = config.np_dtype
+    grads = ModelParams(config, np.empty(labels.shape + (param_count(config),), dtype=dt))
     d_logits = grads.b_out
-    d_logits[...] = cache.probs
-    d_logits[label] -= 1.0
+    np.subtract(cache.probs, np.eye(config.num_classes, dtype=dt)[labels], out=d_logits)
 
-    np.outer(d_logits, cache.h_dropped, out=grads.w_out)
-    d_h_graph = (params.w_out.T @ d_logits) * cache.dropout_mask
+    np.multiply(d_logits[..., :, None], cache.h_dropped[..., None, :], out=grads.w_out)
+    d_h_graph = np.matmul(params.w_out.T, d_logits[..., None])[..., 0] * cache.dropout_mask
 
-    n = cache.hs[-1].shape[0]
-    dh = np.tile(d_h_graph / n, (n, 1))
+    # the readout gradient on every real node; padding rows get 0
+    dh = (d_h_graph / cache.counts)[..., None, :]
+    if cache.node_mask is None:
+        dh = np.broadcast_to(dh, cache.hs[-1].shape)
+    else:
+        dh = dh * cache.node_mask
 
     for k in reversed(range(config.num_layers)):
         incoming = dh
         d_preact = incoming * (cache.mp_preacts[k] > 0)
-        np.matmul(d_preact.T, cache.aggs[k], out=grads.w_msg[k])
-        dh = cache.coeffs.T @ (d_preact @ params.w_msg[k])
+        np.matmul(d_preact.swapaxes(-1, -2), cache.aggs[k], out=grads.w_msg[k])
+        dh = cache.coeffs.swapaxes(-1, -2) @ (d_preact @ params.w_msg[k])
         if cache.skips[k]:
             dh = dh + incoming
 
     if config.use_pre:
         d_pre = dh * (cache.pre_act > 0)
-        np.matmul(d_pre.T, cache.x, out=grads.w_pre)
-        d_pre.sum(axis=0, out=grads.b_pre)
+        np.matmul(d_pre.swapaxes(-1, -2), cache.x, out=grads.w_pre)
+        d_pre.sum(axis=-2, out=grads.b_pre)
     return grads
 
 
@@ -228,13 +253,50 @@ def prepare_graphs(
     return prepared
 
 
-def _evaluate_prepared(
-    params: ModelParams, config: ModelConfig, prepared: list[PreparedGraph]
-) -> Metrics:
+def _length_groups(graphs: list[PreparedGraph]) -> list[list[int]]:
+    """Indices of ``graphs`` in padded groups, each in ascending length.
+
+    A group grows, in length order, while (members + 1) * N_max**2 stays
+    within ``MAX_GROUP_ENTRIES``, N_max being the longest length so far. The
+    groups come by lowest index, so that results summed in index order can
+    join the sum early.
+    """
+    groups, group = [], []
+    for i in sorted(range(len(graphs)), key=lambda i: graphs[i].x.shape[0]):
+        n = graphs[i].x.shape[0]
+        if group and (len(group) + 1) * n * n > MAX_GROUP_ENTRIES:
+            groups.append(group)
+            group = []
+        group.append(i)
+    return sorted(groups + [group] if group else groups, key=min)
+
+
+def _stacked_groups(graphs: list[PreparedGraph]):
+    """Each length group as (indices, x, coeffs, n_nodes, labels) for ``forward_arrays``.
+
+    One graph passes its arrays and label as they are; a group is
+    zero-padded to its longest graph.
+    """
+    for group in _length_groups(graphs):
+        members = [graphs[i] for i in group]
+        if len(members) == 1:
+            yield group, members[0].x, members[0].coeffs, None, members[0].label
+            continue
+        n_nodes = np.array([pg.x.shape[0] for pg in members])
+        n_max, dt = n_nodes.max(), members[0].x.dtype
+        x = np.zeros((len(members), n_max, members[0].x.shape[1]), dtype=dt)
+        coeffs = np.zeros((len(members), n_max, n_max), dtype=dt)
+        for b, (pg, n) in enumerate(zip(members, n_nodes)):
+            x[b, :n] = pg.x
+            coeffs[b, :n, :n] = pg.coeffs
+        yield group, x, coeffs, n_nodes, np.array([pg.label for pg in members])
+
+
+def _evaluate_groups(params: ModelParams, config: ModelConfig, groups) -> Metrics:
     confusion = np.zeros((config.num_classes, config.num_classes), dtype=np.int64)
-    for pg in prepared:
-        _, probs, _ = forward_arrays(params, config, pg.x, pg.coeffs, mode="eval")
-        confusion[pg.label, int(np.argmax(probs))] += 1
+    for _, x, coeffs, n_nodes, labels in groups:
+        _, probs, _ = forward_arrays(params, config, x, coeffs, mode="eval", n_nodes=n_nodes)
+        np.add.at(confusion, (labels, probs.argmax(axis=-1)), 1)
     return metrics_from_confusion(confusion)
 
 
@@ -249,7 +311,7 @@ def evaluate(
     if not dataset.utterances:
         raise ValueError("empty dataset")
     prepared = prepare_graphs(dataset, gamma, graph_kind, config)
-    return _evaluate_prepared(params, config, prepared)
+    return _evaluate_groups(params, config, _stacked_groups(prepared))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +333,11 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Seeded epoch loop on prepared graphs; returns the best-val-UA parameters.
 
-    Per epoch: shuffle, split into batches, accumulate per-graph gradients in
-    ascending utterance order, average, one Adam step per batch. Ties in
-    validation UA keep the earliest epoch. A non-finite training loss or
-    parameter vector stops the run with ``ValueError``.
+    Per epoch: shuffle, split into batches, sum per-graph gradients in
+    ascending utterance order (see ``_batch_gradient``), average, one Adam
+    step per batch. Ties in validation UA keep the earliest epoch. A
+    non-finite training loss or parameter vector stops the run with
+    ``ValueError``.
     """
     if not prepared_val:
         raise ValueError("validation set required for model selection")
@@ -291,37 +354,67 @@ def train(
     state = init_adam_state(params)
 
     n_train = len(prepared_train)
+    val_groups = list(_stacked_groups(prepared_val))  # padded once for every epoch
     history: list[EpochStats] = []
     best_params = params.copy()
     best_ua = -1.0
-    for epoch in range(1, tc.epochs + 1):
-        order = rng_shuffle.permutation(n_train)
-        loss_sum = 0.0
-        for start in range(0, n_train, tc.batch_size):
-            batch = sorted(order[start : start + tc.batch_size].tolist())
-            grads = ModelParams(config)
-            for idx in batch:
-                pg = prepared_train[idx]
-                logits, _, cache = forward_arrays(
-                    params, config, pg.x, pg.coeffs, mode="train", rng=rng_dropout
+    # a diverging run overflows in numpy first; the check after each epoch reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, tc.epochs + 1):
+            order = rng_shuffle.permutation(n_train)
+            loss_sum = 0.0
+            for start in range(0, n_train, tc.batch_size):
+                batch = sorted(order[start : start + tc.batch_size])
+                batch = [prepared_train[i] for i in batch]
+                losses, grads = _batch_gradient(params, config, batch, rng_dropout)
+                for loss in losses.tolist():
+                    loss_sum += loss
+                params, state = adam_step(params, grads, state, tc.lr)
+            train_loss = loss_sum / n_train
+            n_bad = int(np.count_nonzero(~np.isfinite(params.flat)))
+            if n_bad or not np.isfinite(train_loss):
+                raise ValueError(
+                    f"training diverged at epoch {epoch} with K={config.num_layers}: "
+                    f"train_loss {train_loss}, {n_bad} non-finite parameters"
                 )
-                loss_sum += cross_entropy_from_logits(logits, pg.label)
-                grads.flat += backward(params, config, cache, pg.label).flat
-            grads.flat *= 1.0 / len(batch)
-            params, state = adam_step(params, grads, state, tc.lr)
-        train_loss = loss_sum / n_train
-        n_bad = int(np.count_nonzero(~np.isfinite(params.flat)))
-        if n_bad or not np.isfinite(train_loss):
-            raise ValueError(
-                f"training diverged at epoch {epoch} with K={config.num_layers}: "
-                f"train_loss {train_loss}, {n_bad} non-finite parameters"
-            )
-        val_metrics = _evaluate_prepared(params, config, prepared_val)
-        history.append(EpochStats(epoch, train_loss, val_metrics.wa, val_metrics.ua))
-        if val_metrics.ua > best_ua:
-            best_ua = val_metrics.ua
-            best_params = params.copy()
+            val_metrics = _evaluate_groups(params, config, val_groups)
+            history.append(EpochStats(epoch, train_loss, val_metrics.wa, val_metrics.ua))
+            if val_metrics.ua > best_ua:
+                best_ua = val_metrics.ua
+                best_params = params.copy()
     return best_params, history
+
+
+def _batch_gradient(
+    params: ModelParams,
+    config: ModelConfig,
+    batch: list[PreparedGraph],
+    rng_dropout: np.random.Generator,
+) -> tuple[np.ndarray, ModelParams]:
+    """Per-graph losses and the mean gradient of a batch in utterance order.
+
+    One forward and one backward per length group. The dropout masks are
+    drawn, and the per-graph gradients summed, in ascending utterance order,
+    as one call per graph would; each gradient row is kept only until it is
+    summed.
+    """
+    masks = sample_dropout_mask(config, rng_dropout, (len(batch),))
+    losses = np.empty(len(batch))
+    grads = ModelParams(config)
+    pending, n_summed = {}, 0
+    for group, x, coeffs, n_nodes, labels in _stacked_groups(batch):
+        at = group if n_nodes is not None else group[0]
+        logits, _, cache = forward_arrays(
+            params, config, x, coeffs, "train", dropout_mask=masks[at], n_nodes=n_nodes
+        )
+        losses[at] = cross_entropy_from_logits(logits, labels)
+        rows = backward(params, config, cache, labels).flat
+        pending.update(zip(group, rows.reshape(len(group), -1)))
+        while n_summed in pending:
+            grads.flat += pending.pop(n_summed)
+            n_summed += 1
+    grads.flat *= 1.0 / len(batch)
+    return losses, grads
 
 
 def best_epoch(history: list[EpochStats]) -> int:

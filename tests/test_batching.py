@@ -1,0 +1,164 @@
+"""A padded length group against one call per graph.
+
+`train` runs each batch as a few length groups, one padded forward and one
+backward per group, and sums the per-graph gradients in ascending utterance
+order. Each graph of a group must get the bits its own call gives, so that
+training output does not depend on how a batch is grouped.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from cogcn import ModelConfig, build_cosine_graph, init_params, norm_coefficients
+from cogcn.gradcheck import GradcheckInstance, finite_difference_grads, max_relative_error
+from cogcn.model import ModelParams, forward_arrays, sample_dropout_mask
+from cogcn.training import (
+    MAX_GROUP_ENTRIES,
+    PreparedGraph,
+    _batch_gradient,
+    _length_groups,
+    _stacked_groups,
+    backward,
+    cross_entropy_from_logits,
+)
+
+# shuffled, so groups hold graphs out of utterance order; 100 and 130 do not
+# fit beside the eight shorter ones, so a batch makes two groups
+LENGTHS = (23, 2, 130, 45, 7, 32, 60, 16, 100, 31)
+D, Z = 8, 16  # desk scale
+COMBOS = list(itertools.product(("float32", "float64"), (True, False), (True, False),
+                                (True, False)))
+
+
+def _config(dtype, use_pre, use_skip, self_agg, **kwargs):
+    return ModelConfig(in_dim=D, hidden_dim=Z, num_layers=3, num_classes=4,
+                       use_pre=use_pre, use_skip=use_skip, self_in_aggregation=self_agg,
+                       dtype=dtype, **kwargs)
+
+
+def _params(config, seed):
+    # nonzero biases: with b_pre = 0 the padding rows would be zero without
+    # the forward and backward masks, and the masks would go untested
+    params = init_params(config, seed)
+    rng = np.random.default_rng(seed)
+    for bias in (params.b_pre, params.b_out):
+        if bias is not None:
+            bias[...] = rng.uniform(-0.5, 0.5, size=bias.shape)
+    return params
+
+
+def _graphs(config, lengths=LENGTHS, seed=0):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, n in enumerate(lengths):
+        x = rng.standard_normal((n, config.in_dim))
+        coeffs = norm_coefficients(build_cosine_graph(x, 0.3),
+                                   include_self=config.self_in_aggregation)
+        graphs.append(PreparedGraph(f"u{i}", x.astype(config.np_dtype),
+                                    coeffs.astype(config.np_dtype),
+                                    int(rng.integers(config.num_classes))))
+    return graphs
+
+
+def _assert_same(actual, expected, config, bits=True):
+    if config.dtype == "float32" and not config.use_pre:
+        # Without the pre-layer the first aggregation is coeffs @ x, x being
+        # D=8 wide. OpenBLAS's float32 kernel for an output that narrow sums
+        # in an order that depends on the inner (node) length, so padding
+        # moves the last bits. Every other product here is bit-stable.
+        np.testing.assert_allclose(actual, expected, rtol=1e-5, atol=1e-6)
+    elif bits:
+        assert actual.tobytes() == expected.tobytes()
+    else:
+        # a +0.0 padding term can turn a sum that is exactly -0.0 into +0.0;
+        # the batch sum, which starts from +0.0, does so anyway
+        assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
+def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg):
+    config = _config(dtype, use_pre, use_skip, self_agg)
+    params = _params(config, 1)
+    graphs = [pg for pg in _graphs(config) if pg.x.shape[0] <= 60]
+    (group, x, coeffs, n_nodes, labels), = _stacked_groups(graphs)  # one group, by length
+    masks = sample_dropout_mask(config, np.random.default_rng(2), (len(graphs),))
+    logits, probs, cache = forward_arrays(params, config, x, coeffs, "train",
+                                          dropout_mask=masks, n_nodes=n_nodes)
+    rows = backward(params, config, cache, labels)
+    losses = cross_entropy_from_logits(logits, labels)
+    for h in cache.hs:
+        for b, n in enumerate(n_nodes):
+            assert not np.any(h[b, n:]), "a padding row is not exactly 0"
+    for b, pg in enumerate(graphs[i] for i in group):
+        one_logits, one_probs, one_cache = forward_arrays(
+            params, config, pg.x, pg.coeffs, "train", dropout_mask=masks[b])
+        _assert_same(logits[b], one_logits, config)
+        _assert_same(probs[b], one_probs, config)
+        one_row = backward(params, config, one_cache, pg.label).flat
+        _assert_same(rows.flat[b], one_row, config, bits=False)
+        if config.dtype == "float64" or config.use_pre:
+            assert losses[b] == cross_entropy_from_logits(one_logits, pg.label)
+
+
+@pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
+def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip, self_agg):
+    config = _config(dtype, use_pre, use_skip, self_agg, dropout=0.1)
+    params = _params(config, 3)
+    graphs = _graphs(config, seed=4)
+    assert len(_length_groups(graphs)) == 2
+    losses, grads = _batch_gradient(params, config, graphs, np.random.default_rng(5))
+
+    # what one call per graph gives, masks drawn and gradients summed in order
+    rng = np.random.default_rng(5)
+    expected = ModelParams(config)
+    for b, pg in enumerate(graphs):
+        logits, _, cache = forward_arrays(params, config, pg.x, pg.coeffs, "train", rng=rng)
+        if config.dtype == "float64" or config.use_pre:
+            assert losses[b] == cross_entropy_from_logits(logits, pg.label)
+        expected.flat += backward(params, config, cache, pg.label).flat
+    expected.flat *= 1.0 / len(graphs)
+    _assert_same(grads.flat, expected.flat, config)
+
+
+@pytest.mark.parametrize("use_pre, use_skip, self_agg", itertools.product((True, False),
+                                                                          repeat=3))
+def test_single_graph_backward_matches_finite_differences(use_pre, use_skip, self_agg):
+    config = ModelConfig(in_dim=3, hidden_dim=4, num_layers=2, num_classes=3,
+                         use_pre=use_pre, use_skip=use_skip, self_in_aggregation=self_agg,
+                         dtype="float64")
+    pg = _graphs(config, lengths=(5,), seed=6)[0]
+    mask = sample_dropout_mask(config, np.random.default_rng(7))
+    instance = GradcheckInstance(config, _params(config, 8), pg.x, pg.coeffs, pg.label,
+                                 mask, "cosine")
+    _, _, cache = forward_arrays(instance.params, config, pg.x, pg.coeffs, "train",
+                                 dropout_mask=mask)
+    analytic = backward(instance.params, config, cache, pg.label)
+    err, name = max_relative_error(analytic, finite_difference_grads(instance))
+    assert err < 1e-4, name
+
+
+def test_grouping_rule():
+    config = _config("float64", True, True, True)
+    graphs = _graphs(config)
+    groups = _length_groups(graphs)
+    assert sorted(i for group in groups for i in group) == list(range(len(graphs)))
+    for group in groups:
+        lengths = [graphs[i].x.shape[0] for i in group]
+        assert lengths == sorted(lengths)
+        assert len(group) == 1 or len(group) * lengths[-1] ** 2 <= MAX_GROUP_ENTRIES
+    assert [min(group) for group in groups] == sorted(min(group) for group in groups)
+    by_length = sorted(groups, key=lambda group: graphs[group[0]].x.shape[0])
+    for first, second in zip(by_length, by_length[1:]):
+        # a group closes only when the next graph in length order does not fit
+        n = graphs[second[0]].x.shape[0]
+        assert (len(first) + 1) * n * n > MAX_GROUP_ENTRIES
+    assert [len(group) for group in groups] == [8, 2]
+
+
+def test_single_graph_passes_its_arrays_as_they_are():
+    pg = _graphs(_config("float32", True, True, True), lengths=(300,))[0]
+    (group, x, coeffs, n_nodes, label), = _stacked_groups([pg])
+    assert group == [0] and x is pg.x and coeffs is pg.coeffs
+    assert n_nodes is None and label == pg.label

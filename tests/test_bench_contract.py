@@ -2,7 +2,8 @@
 
 The benchmark wraps functions by module attribute and cuts its batch timings
 at every `training.adam_step` call, so a rename or an inlined optimizer step
-would silently change what it measures. Its per-layer counts of
+would silently change what it measures. Its per-layer forward and backward
+figures assume one padded call per length group, not one per graph. Its per-layer counts of
 `prepare_graphs` and `train` calls, and the fold's peak memory, follow from
 the fold loop's shape, which is pinned here too.
 """
@@ -54,6 +55,35 @@ def test_train_calls_adam_step_once_per_batch(monkeypatch):
           prepare_graphs(ds_val, 0.5, "cosine", tc.model), tc)
     n_train = len(ds_train.utterances)
     assert len(calls) == tc.epochs * math.ceil(n_train / tc.batch_size) == 12
+
+
+def test_train_runs_one_forward_and_backward_per_batch(monkeypatch):
+    # 3-5-frame graphs in batches of 4 make one length group per batch; one
+    # call per graph would be the per-graph loop the benchmark measured before
+    dataset = synth_dataset(SynthSpec(n_classes=2, n_speakers=3, utt_per_speaker=7,
+                                      frames_lo=3, frames_hi=5, d=4, seed=0))
+    ds_train = dataset.subset_speakers(["spk00", "spk01"])
+    ds_val = dataset.subset_speakers(["spk02"])
+    tc = TrainConfig(model=ModelConfig(in_dim=4, hidden_dim=4, num_classes=2),
+                     epochs=3, batch_size=4)
+    calls = []
+    forward, backward = training.forward_arrays, training.backward
+
+    def counted_forward(*args, **kwargs):
+        calls.append(f"forward.{kwargs.get('mode', args[4] if len(args) > 4 else 'eval')}")
+        return forward(*args, **kwargs)
+
+    def counted_backward(*args, **kwargs):
+        calls.append("backward")
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_arrays", counted_forward)
+    monkeypatch.setattr(training, "backward", counted_backward)
+    train(prepare_graphs(ds_train, 0.5, "cosine", tc.model),
+          prepare_graphs(ds_val, 0.5, "cosine", tc.model), tc)
+    n_batches = tc.epochs * math.ceil(len(ds_train.utterances) / tc.batch_size)
+    assert calls.count("forward.train") == calls.count("backward") == n_batches == 12
+    assert calls.count("forward.eval") == tc.epochs  # the validation set is one group
 
 
 def test_fold_loop_is_gamma_major(monkeypatch):

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cogcn
 from cogcn.cli import main
 
 
@@ -115,8 +119,6 @@ class TestTrain:
         (1e30, 5, "diverged at epoch 2 with K=1: train_loss nan"),
         (1e39, 1, "diverged at epoch 1 with K=1: train_loss 0.99"),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_run_fails_without_metrics(self, tmp_path, capsys, lr, epochs, message):
         data = tmp_path / "tiny"
         assert run(["synth", "--classes", 2, "--speakers", 3, "--utts", 6, "--frames-lo", 4,
@@ -128,6 +130,33 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
         assert not list(out.glob("fold_*"))
+
+    def test_diverged_run_prints_only_the_error(self, tmp_path, capfd):
+        data = tmp_path / "tiny"
+        assert run(["synth", "--classes", 2, "--speakers", 3, "--utts", 6, "--frames-lo", 4,
+                    "--frames-hi", 8, "--dim", 4, "--seed", 0, "-o", data]) == 0
+        capfd.readouterr()
+        # a fresh interpreter shows numpy's warnings as a user would see them
+        env = {**os.environ, "PYTHONPATH": str(Path(cogcn.__file__).parents[1])}
+        argv = ["train", "--data", data, "--lr", 1e30, "--dtype", "float32", "--k", 1,
+                "--gamma", 0.5, "--z", 4, "--epochs", 5, "-o", tmp_path / "r"]
+        code = subprocess.run([sys.executable, "-m", "cogcn.cli", *map(str, argv)],
+                              env=env).returncode
+        err = capfd.readouterr().err
+        assert code == 1
+        assert "RuntimeWarning" not in err
+        assert err.splitlines() == [
+            "error: training diverged at epoch 2 with K=1: train_loss nan, "
+            "46 non-finite parameters"
+        ]
+
+    def test_manifest_records_the_k_grid_only(self, tmp_path, data_dir):
+        out = tmp_path / "r"
+        assert run(["train", "--data", data_dir, "--k", "1,2", "--gamma", 0.5, "--z", 8,
+                    "--epochs", 1, "--holdout", "spk00", "-o", out]) == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert config["k_grid"] == [1, 2]
+        assert "num_layers" not in config["model"]
 
     def test_input_dir_never_mutated(self, tmp_path, data_dir):
         before = dir_digest(data_dir, exclude=())
@@ -267,9 +296,11 @@ class TestDiag:
     def test_usage_error_exit_code(self, tmp_path, data_dir, capsys):
         assert run(["train"]) == 1  # missing required flags
         assert run(["nonsense"]) == 1
-        # --k 0 is a layer count below 1, not "unset"
+        # --k 0 is a layer count below 1, not "unset", and the message names the grid
+        capsys.readouterr()
         assert run(["train", "--data", data_dir, "--k", 0, "--z", 8, "--epochs", 1,
                     "--holdout", "spk00", "-o", tmp_path / "k0"]) == 1
+        assert "every K in the grid must be >= 1, got (0,)" in capsys.readouterr().err
         # bad grids are rejected before any setting is trained
         for flag, grid, message in (("--k", "1,0", "every K in the grid must be >= 1"),
                                     ("--gamma", "0.5,1.5", "must be in (-1, 1]"),

@@ -123,6 +123,8 @@ def cmd_synth(args) -> int:
 def _train_config(args, dataset) -> TrainConfig:
     # before the model config takes its K from the grid, so a fault names the grid
     check_grids(args.k, args.gamma)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     model = ModelConfig(
         in_dim=dataset.d,
         hidden_dim=args.z,

@@ -61,16 +61,22 @@ class GradcheckReport:
         return self.max_rel_error < tol
 
 
-def _loss(instance: GradcheckInstance, params: ModelParams) -> float:
-    logits, _, _ = forward_arrays(
+def _forward(instance: GradcheckInstance, params: ModelParams):
+    """Train-mode forward of the instance as a group of one, as training runs it."""
+    return forward_arrays(
         params,
         instance.config,
-        instance.x,
-        instance.coeffs,
+        instance.x[None],
+        instance.coeffs[None],
         mode="train",
-        dropout_mask=instance.dropout_mask,
+        dropout_mask=instance.dropout_mask[None],
     )
-    return cross_entropy_from_logits(logits, instance.label)
+
+
+def _loss(instance: GradcheckInstance, params: ModelParams) -> float:
+    logits, _, _ = _forward(instance, params)
+    (loss,) = cross_entropy_from_logits(logits, [instance.label])
+    return loss
 
 
 def finite_difference_grads(
@@ -106,14 +112,7 @@ def max_relative_error(
 
 
 def _min_preactivation(instance: GradcheckInstance) -> float:
-    _, _, cache = forward_arrays(
-        instance.params,
-        instance.config,
-        instance.x,
-        instance.coeffs,
-        mode="train",
-        dropout_mask=instance.dropout_mask,
-    )
+    _, _, cache = _forward(instance, instance.params)
     # Rows whose aggregation coefficients are all zero (isolated nodes without
     # self-aggregation) have structurally-zero pre-activations that no
     # parameter perturbation can move, so they cannot cross the kink.
@@ -121,7 +120,7 @@ def _min_preactivation(instance: GradcheckInstance) -> float:
     mins = []
     for p in cache.mp_preacts:
         if movable.any():
-            mins.append(np.abs(p[movable]).min())
+            mins.append(np.abs(p[0, movable]).min())
     if cache.pre_act is not None and cache.pre_act.size:
         mins.append(np.abs(cache.pre_act).min())
     return min(mins) if mins else np.inf
@@ -171,6 +170,8 @@ def run_gradcheck(
     tol: float = DEFAULT_TOL,
 ) -> GradcheckReport:
     """Compare ``backward`` against central differences on random instances."""
+    if n_instances < 1:
+        raise ValueError(f"a gradient check needs at least 1 instance, got {n_instances}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     worst = 0.0
     worst_instance = -1
@@ -184,15 +185,9 @@ def run_gradcheck(
             instance = _draw_instance(rng, index)
         kinds.add(instance.graph_kind)
 
-        _, _, cache = forward_arrays(
-            instance.params,
-            instance.config,
-            instance.x,
-            instance.coeffs,
-            mode="train",
-            dropout_mask=instance.dropout_mask,
-        )
-        analytic = backward(instance.params, instance.config, cache, instance.label)
+        _, _, cache = _forward(instance, instance.params)
+        (row,) = backward(instance.params, instance.config, cache, [instance.label]).flat
+        analytic = ModelParams(instance.config, row)
         numeric = finite_difference_grads(instance, step=step)
         err, name = max_relative_error(analytic, numeric)
         if err > worst:

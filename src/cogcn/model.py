@@ -17,12 +17,14 @@ cache retains every intermediate needed for exact reverse-mode gradients
 vector laid out by ``param_layout``.
 
 The same code runs one graph, ``x`` (n, d) and ``coeffs`` (n, n), or a group
-of graphs zero-padded to a common length, ``x`` (B, N, d) and ``coeffs``
-(B, N, N) with the true lengths in ``n_nodes``. Every product acts on the
-last two axes, and padding rows are zeroed once after the pre-layer and stay
-zero in every layer. The padding adds only exact zeros to each graph's sums,
-so a graph gets the bits of its own call wherever BLAS sums in an order that
-does not depend on the padded length (see tests/test_batching.py).
+of graphs, ``x`` (B, N, d) and ``coeffs`` (B, N, N). Training passes groups
+only: a graph alone is an unpadded group of one, and several graphs are
+zero-padded to the longest, with the true lengths in ``n_nodes``. Every
+product acts on the last two axes, and padding rows are zeroed once after
+the pre-layer and stay zero in every layer. The padding adds only exact
+zeros to each graph's sums, so a graph gets the bits of its own call
+wherever BLAS sums in an order that does not depend on the padded length
+(see tests/test_batching.py).
 """
 
 from __future__ import annotations
@@ -211,21 +213,21 @@ def forward_arrays(
     x: np.ndarray,
     coeffs: np.ndarray,
     mode: str = "eval",
-    rng: np.random.Generator | None = None,
     dropout_mask: np.ndarray | None = None,
     n_nodes: np.ndarray | None = None,
 ):
     """Forward pass on pre-extracted node features and aggregation coefficients.
 
-    Takes one graph, or a zero-padded group with its node counts in
-    ``n_nodes`` (see the module docstring). Returns (logits, probs, cache),
-    with a leading group axis for a group. In train mode one dropout mask per
-    graph is sampled from ``rng`` unless masks are supplied explicitly
-    (gradient checking fixes the mask so the loss stays deterministic under
-    parameter perturbation).
+    Takes one graph, or a group with its node counts in ``n_nodes`` if it is
+    zero-padded (see the module docstring). Returns (logits, probs, cache),
+    with a leading group axis for a group. Train mode applies
+    ``dropout_mask``, one row per graph of a group, which the caller draws
+    with ``sample_dropout_mask``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got '{mode}'")
+    if mode == "train" and dropout_mask is None:
+        raise ValueError("train mode needs a dropout mask: sample_dropout_mask(config, rng)")
     dt = config.np_dtype
     x = np.ascontiguousarray(x, dtype=dt)
     coeffs = np.ascontiguousarray(coeffs, dtype=dt)
@@ -265,10 +267,6 @@ def forward_arrays(
 
     h_graph = h.sum(axis=-2) / counts
     if mode == "train":
-        if dropout_mask is None:
-            if rng is None and config.dropout > 0.0:
-                raise ValueError("train mode needs an rng (or an explicit dropout mask)")
-            dropout_mask = sample_dropout_mask(config, rng, h_graph.shape[:-1])
         h_dropped = h_graph * dropout_mask
     else:
         dropout_mask = None
@@ -303,16 +301,12 @@ def forward(
     config: ModelConfig,
     graph: Graph,
     mode: str = "eval",
-    rng: np.random.Generator | None = None,
     dropout_mask: np.ndarray | None = None,
-    coeffs: np.ndarray | None = None,
 ):
     """Full pipeline on a Graph; see ``forward_arrays`` for the return value."""
-    if coeffs is None:
-        coeffs = norm_coefficients(graph, include_self=config.self_in_aggregation)
+    coeffs = norm_coefficients(graph, include_self=config.self_in_aggregation)
     return forward_arrays(
-        params, config, graph.features, coeffs, mode=mode, rng=rng,
-        dropout_mask=dropout_mask,
+        params, config, graph.features, coeffs, mode=mode, dropout_mask=dropout_mask
     )
 
 

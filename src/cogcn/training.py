@@ -3,17 +3,18 @@
 Gradients are derived by hand as the exact reverse-mode differential of the
 forward pipeline in ``model`` composed with softmax cross-entropy; the
 ``gradcheck`` module verifies them against central finite differences.
-Training runs each batch as a few length groups, one padded forward and
-backward per group, sums the per-graph gradients in ascending utterance
-order, averages them, and takes one Adam step per batch. Cross-validation
-holds out one speaker per fold for testing plus the lexicographically next
-speaker for validation-based selection of the layer count and similarity
-threshold.
+Training cuts each batch, in ascending utterance order, into consecutive
+runs of graphs, runs one padded forward and backward per run, sums the
+per-graph gradients in that order, averages them, and takes one Adam step
+per batch. Cross-validation holds out one speaker per fold for testing plus
+the lexicographically next speaker for validation-based selection of the
+layer count and similarity threshold.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -253,48 +254,40 @@ def prepare_graphs(
     return prepared
 
 
-def _length_groups(graphs: list[PreparedGraph]) -> list[list[int]]:
-    """Indices of ``graphs`` in padded groups, each in ascending length.
+def _groups(graphs: list[PreparedGraph]):
+    """Consecutive runs of ``graphs``, in order, as (x, coeffs, n_nodes, labels).
 
-    A group grows, in length order, while (members + 1) * N_max**2 stays
-    within ``MAX_GROUP_ENTRIES``, N_max being the longest length so far. The
-    groups come by lowest index, so that results summed in index order can
-    join the sum early.
+    A run takes the next graph while (members + 1) * N_max**2 stays within
+    ``MAX_GROUP_ENTRIES``, N_max being the longest length of the members and
+    that graph. A run of several is zero-padded to its longest graph; a run
+    of one is views of its graph's own arrays as a group of one, with no
+    padding and so no ``n_nodes``.
     """
-    groups, group = [], []
-    for i in sorted(range(len(graphs)), key=lambda i: graphs[i].x.shape[0]):
-        n = graphs[i].x.shape[0]
-        if group and (len(group) + 1) * n * n > MAX_GROUP_ENTRIES:
-            groups.append(group)
-            group = []
-        group.append(i)
-    return sorted(groups + [group] if group else groups, key=min)
-
-
-def _stacked_groups(graphs: list[PreparedGraph]):
-    """Each length group as (indices, x, coeffs, n_nodes, labels) for ``forward_arrays``.
-
-    One graph passes its arrays and label as they are; a group is
-    zero-padded to its longest graph.
-    """
-    for group in _length_groups(graphs):
-        members = [graphs[i] for i in group]
-        if len(members) == 1:
-            yield group, members[0].x, members[0].coeffs, None, members[0].label
+    runs, n_max = [], 0
+    for pg in graphs:
+        n_max = max(n_max, pg.x.shape[0])
+        if not runs or (len(runs[-1]) + 1) * n_max**2 > MAX_GROUP_ENTRIES:
+            runs.append([])
+            n_max = pg.x.shape[0]
+        runs[-1].append(pg)
+    for run in runs:
+        labels = np.array([pg.label for pg in run])
+        if len(run) == 1:
+            yield run[0].x[None], run[0].coeffs[None], None, labels
             continue
-        n_nodes = np.array([pg.x.shape[0] for pg in members])
-        n_max, dt = n_nodes.max(), members[0].x.dtype
-        x = np.zeros((len(members), n_max, members[0].x.shape[1]), dtype=dt)
-        coeffs = np.zeros((len(members), n_max, n_max), dtype=dt)
-        for b, (pg, n) in enumerate(zip(members, n_nodes)):
+        n_nodes = np.array([pg.x.shape[0] for pg in run])
+        n_max, dt = n_nodes.max(), run[0].x.dtype
+        x = np.zeros((len(run), n_max, run[0].x.shape[1]), dtype=dt)
+        coeffs = np.zeros((len(run), n_max, n_max), dtype=dt)
+        for b, (pg, n) in enumerate(zip(run, n_nodes)):
             x[b, :n] = pg.x
             coeffs[b, :n, :n] = pg.coeffs
-        yield group, x, coeffs, n_nodes, np.array([pg.label for pg in members])
+        yield x, coeffs, n_nodes, labels
 
 
 def _evaluate_groups(params: ModelParams, config: ModelConfig, groups) -> Metrics:
     confusion = np.zeros((config.num_classes, config.num_classes), dtype=np.int64)
-    for _, x, coeffs, n_nodes, labels in groups:
+    for x, coeffs, n_nodes, labels in groups:
         _, probs, _ = forward_arrays(params, config, x, coeffs, mode="eval", n_nodes=n_nodes)
         np.add.at(confusion, (labels, probs.argmax(axis=-1)), 1)
     return metrics_from_confusion(confusion)
@@ -311,7 +304,7 @@ def evaluate(
     if not dataset.utterances:
         raise ValueError("empty dataset")
     prepared = prepare_graphs(dataset, gamma, graph_kind, config)
-    return _evaluate_groups(params, config, _stacked_groups(prepared))
+    return _evaluate_groups(params, config, _groups(prepared))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,8 @@ def train(
     ascending utterance order (see ``_batch_gradient``), average, one Adam
     step per batch. Ties in validation UA keep the earliest epoch. A
     non-finite training loss or parameter vector stops the run with
-    ``ValueError``.
+    ``ValueError``, and so does a training loss above ten times ln(C), the
+    loss of a uniform guess, after epoch 1.
     """
     if not prepared_val:
         raise ValueError("validation set required for model selection")
@@ -354,7 +348,7 @@ def train(
     state = init_adam_state(params)
 
     n_train = len(prepared_train)
-    val_groups = list(_stacked_groups(prepared_val))  # padded once for every epoch
+    val_groups = list(_groups(prepared_val))  # padded once for every epoch
     history: list[EpochStats] = []
     best_params = params.copy()
     best_ua = -1.0
@@ -372,7 +366,9 @@ def train(
                 params, state = adam_step(params, grads, state, tc.lr)
             train_loss = loss_sum / n_train
             n_bad = int(np.count_nonzero(~np.isfinite(params.flat)))
-            if n_bad or not np.isfinite(train_loss):
+            # after epoch 1, ten times a uniform guess's loss is divergence too
+            too_high = epoch > 1 and train_loss > 10.0 * math.log(config.num_classes)
+            if n_bad or too_high or not np.isfinite(train_loss):
                 raise ValueError(
                     f"training diverged at epoch {epoch} with K={config.num_layers}: "
                     f"train_loss {train_loss}, {n_bad} non-finite parameters"
@@ -393,26 +389,23 @@ def _batch_gradient(
 ) -> tuple[np.ndarray, ModelParams]:
     """Per-graph losses and the mean gradient of a batch in utterance order.
 
-    One forward and one backward per length group. The dropout masks are
-    drawn, and the per-graph gradients summed, in ascending utterance order,
-    as one call per graph would; each gradient row is kept only until it is
-    summed.
+    One forward and one backward per run of ``_groups``. The dropout masks
+    are drawn, and the per-graph gradients summed, in the batch's order, as
+    one call per graph would.
     """
     masks = sample_dropout_mask(config, rng_dropout, (len(batch),))
     losses = np.empty(len(batch))
     grads = ModelParams(config)
-    pending, n_summed = {}, 0
-    for group, x, coeffs, n_nodes, labels in _stacked_groups(batch):
-        at = group if n_nodes is not None else group[0]
+    start = 0
+    for x, coeffs, n_nodes, labels in _groups(batch):
+        at = slice(start, start + len(labels))
         logits, _, cache = forward_arrays(
             params, config, x, coeffs, "train", dropout_mask=masks[at], n_nodes=n_nodes
         )
         losses[at] = cross_entropy_from_logits(logits, labels)
-        rows = backward(params, config, cache, labels).flat
-        pending.update(zip(group, rows.reshape(len(group), -1)))
-        while n_summed in pending:
-            grads.flat += pending.pop(n_summed)
-            n_summed += 1
+        for row in backward(params, config, cache, labels).flat:
+            grads.flat += row
+        start = at.stop
     grads.flat *= 1.0 / len(batch)
     return losses, grads
 

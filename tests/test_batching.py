@@ -1,9 +1,9 @@
-"""A padded length group against one call per graph.
+"""A padded run of graphs against one call per graph.
 
-`train` runs each batch as a few length groups, one padded forward and one
-backward per group, and sums the per-graph gradients in ascending utterance
-order. Each graph of a group must get the bits its own call gives, so that
-training output does not depend on how a batch is grouped.
+`train` cuts each batch into consecutive runs, one padded forward and one
+backward per run, and sums the per-graph gradients in ascending utterance
+order. Each graph of a run must get the bits its own call gives, so that
+training output does not depend on how a batch is cut.
 """
 
 import itertools
@@ -18,14 +18,13 @@ from cogcn.training import (
     MAX_GROUP_ENTRIES,
     PreparedGraph,
     _batch_gradient,
-    _length_groups,
-    _stacked_groups,
+    _groups,
     backward,
     cross_entropy_from_logits,
 )
 
-# shuffled, so groups hold graphs out of utterance order; 100 and 130 do not
-# fit beside the eight shorter ones, so a batch makes two groups
+# consecutive runs of 3, 6 and 1 graphs: a fourth beside 130 and a seventh
+# beside 100 would break the budget
 LENGTHS = (23, 2, 130, 45, 7, 32, 60, 16, 100, 31)
 D, Z = 8, 16  # desk scale
 COMBOS = list(itertools.product(("float32", "float64"), (True, False), (True, False),
@@ -82,7 +81,7 @@ def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg):
     config = _config(dtype, use_pre, use_skip, self_agg)
     params = _params(config, 1)
     graphs = [pg for pg in _graphs(config) if pg.x.shape[0] <= 60]
-    (group, x, coeffs, n_nodes, labels), = _stacked_groups(graphs)  # one group, by length
+    (x, coeffs, n_nodes, labels), = _groups(graphs)  # one run
     masks = sample_dropout_mask(config, np.random.default_rng(2), (len(graphs),))
     logits, probs, cache = forward_arrays(params, config, x, coeffs, "train",
                                           dropout_mask=masks, n_nodes=n_nodes)
@@ -91,7 +90,7 @@ def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg):
     for h in cache.hs:
         for b, n in enumerate(n_nodes):
             assert not np.any(h[b, n:]), "a padding row is not exactly 0"
-    for b, pg in enumerate(graphs[i] for i in group):
+    for b, pg in enumerate(graphs):
         one_logits, one_probs, one_cache = forward_arrays(
             params, config, pg.x, pg.coeffs, "train", dropout_mask=masks[b])
         _assert_same(logits[b], one_logits, config)
@@ -107,14 +106,16 @@ def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip
     config = _config(dtype, use_pre, use_skip, self_agg, dropout=0.1)
     params = _params(config, 3)
     graphs = _graphs(config, seed=4)
-    assert len(_length_groups(graphs)) == 2
+    assert len(list(_groups(graphs))) == 3
     losses, grads = _batch_gradient(params, config, graphs, np.random.default_rng(5))
 
     # what one call per graph gives, masks drawn and gradients summed in order
     rng = np.random.default_rng(5)
     expected = ModelParams(config)
     for b, pg in enumerate(graphs):
-        logits, _, cache = forward_arrays(params, config, pg.x, pg.coeffs, "train", rng=rng)
+        mask = sample_dropout_mask(config, rng)
+        logits, _, cache = forward_arrays(params, config, pg.x, pg.coeffs, "train",
+                                          dropout_mask=mask)
         if config.dtype == "float64" or config.use_pre:
             assert losses[b] == cross_entropy_from_logits(logits, pg.label)
         expected.flat += backward(params, config, cache, pg.label).flat
@@ -142,23 +143,27 @@ def test_single_graph_backward_matches_finite_differences(use_pre, use_skip, sel
 def test_grouping_rule():
     config = _config("float64", True, True, True)
     graphs = _graphs(config)
-    groups = _length_groups(graphs)
-    assert sorted(i for group in groups for i in group) == list(range(len(graphs)))
-    for group in groups:
-        lengths = [graphs[i].x.shape[0] for i in group]
-        assert lengths == sorted(lengths)
-        assert len(group) == 1 or len(group) * lengths[-1] ** 2 <= MAX_GROUP_ENTRIES
-    assert [min(group) for group in groups] == sorted(min(group) for group in groups)
-    by_length = sorted(groups, key=lambda group: graphs[group[0]].x.shape[0])
-    for first, second in zip(by_length, by_length[1:]):
-        # a group closes only when the next graph in length order does not fit
-        n = graphs[second[0]].x.shape[0]
-        assert (len(first) + 1) * n * n > MAX_GROUP_ENTRIES
-    assert [len(group) for group in groups] == [8, 2]
+    runs = list(_groups(graphs))
+    at = 0
+    for x, coeffs, n_nodes, labels in runs:
+        lengths = [x.shape[1]] if n_nodes is None else n_nodes.tolist()
+        for b, n in enumerate(lengths):  # the runs cover the list in its own order
+            pg = graphs[at + b]
+            assert n == pg.x.shape[0] and labels[b] == pg.label
+            assert np.array_equal(x[b, :n], pg.x) and np.array_equal(coeffs[b, :n, :n], pg.coeffs)
+        assert len(lengths) == 1 or len(lengths) * max(lengths) ** 2 <= MAX_GROUP_ENTRIES
+        at += len(lengths)
+        if at < len(graphs):
+            # a run closes only when the next graph would break the budget
+            n_max = max(lengths + [graphs[at].x.shape[0]])
+            assert (len(lengths) + 1) * n_max**2 > MAX_GROUP_ENTRIES
+    assert at == len(graphs)
+    assert [len(labels) for *_, labels in runs] == [3, 6, 1]
 
 
 def test_single_graph_passes_its_arrays_as_they_are():
     pg = _graphs(_config("float32", True, True, True), lengths=(300,))[0]
-    (group, x, coeffs, n_nodes, label), = _stacked_groups([pg])
-    assert group == [0] and x is pg.x and coeffs is pg.coeffs
-    assert n_nodes is None and label == pg.label
+    (x, coeffs, n_nodes, labels), = _groups([pg])
+    assert x.base is pg.x and coeffs.base is pg.coeffs  # views, no copy
+    assert x.shape == (1,) + pg.x.shape and coeffs.shape == (1,) + pg.coeffs.shape
+    assert n_nodes is None and labels.tolist() == [pg.label]

@@ -114,10 +114,12 @@ class TestTrain:
         assert ckpt["train_meta"]["graph_kind"] == "temporal"
 
     # lr 1e30 turns the float32 loss nan in epoch 2; lr 1e39 overflows the
-    # parameters in the last step of the only epoch, after a finite loss
+    # parameters in the last step of the only epoch, after a finite loss; lr
+    # 1e6 keeps every number finite but drives the loss to about 1.6e17
     @pytest.mark.parametrize("lr, epochs, message", [
         (1e30, 5, "diverged at epoch 2 with K=1: train_loss nan"),
         (1e39, 1, "diverged at epoch 1 with K=1: train_loss 0.99"),
+        (1e6, 5, "diverged at epoch 2 with K=1: train_loss 1.5"),
     ])
     def test_diverged_run_fails_without_metrics(self, tmp_path, capsys, lr, epochs, message):
         data = tmp_path / "tiny"
@@ -309,3 +311,15 @@ class TestDiag:
             assert run(["train", "--data", data_dir, flag, grid, "--z", 8, "--epochs", 1,
                         "--holdout", "spk00", "-o", tmp_path / "grid"]) == 1
             assert message in capsys.readouterr().err
+        # a gradient check of no instances, or fewer than one worker, does nothing
+        train = ["train", "--data", data_dir, "--k", 1, "--z", 8, "--epochs", 1]
+        for argv, message in ((["diag", "gradcheck", "--trials", 0], "at least 1 instance"),
+                              (["diag", "gradcheck", "--trials", -2], "at least 1 instance"),
+                              (train + ["--jobs", -3, "-o", tmp_path / "jobs"],
+                               "--jobs must be >= 1, got -3"),
+                              (train + ["--jobs", 0, "--holdout", "spk00", "-o",
+                                        tmp_path / "jobs"], "--jobs must be >= 1, got 0")):
+            capsys.readouterr()
+            assert run(argv) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "jobs").exists()  # rejected before the output is made

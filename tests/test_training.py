@@ -28,6 +28,7 @@ from cogcn import (
     param_layout,
     prepare_graphs,
     run_fold,
+    sample_dropout_mask,
     softmax,
     synth_dataset,
     train,
@@ -85,8 +86,8 @@ class TestBackward:
         params.w_out[:] = 0.0
         params.b_out[:] = 0.0
         g = build_temporal_graph(np.random.default_rng(2).standard_normal((3, 3)))
-        _, _, cache = forward(params, cfg, g, mode="train",
-                              rng=np.random.default_rng(0))
+        mask = sample_dropout_mask(cfg, np.random.default_rng(0))
+        _, _, cache = forward(params, cfg, g, mode="train", dropout_mask=mask)
         grads = backward(params, cfg, cache, label=2)
         np.testing.assert_allclose(grads.b_out, [0.25, 0.25, -0.75, 0.25], atol=1e-15)
 
@@ -100,8 +101,8 @@ class TestBackward:
         g2 = build_temporal_graph(rng.standard_normal((4, 3)))
 
         def grad_of(graph, label):
-            _, _, cache = forward(params, cfg, graph, mode="train",
-                                  rng=np.random.default_rng(0))
+            mask = sample_dropout_mask(cfg, np.random.default_rng(0))
+            _, _, cache = forward(params, cfg, graph, mode="train", dropout_mask=mask)
             return backward(params, cfg, cache, label)
 
         a, b = grad_of(g1, 0), grad_of(g2, 1)
@@ -123,6 +124,21 @@ class TestBackward:
         numeric = gc.finite_difference_grads(instance)
         assert numeric.flat.shape == instance.params.flat.shape
         assert np.all(np.isfinite(numeric.flat)) and np.any(numeric.flat != 0.0)
+
+    def test_gradcheck_checks_groups_of_one(self, monkeypatch):
+        # the oracle checks the shape training runs: each graph as a group of one
+        import cogcn.gradcheck as gc
+
+        shapes = []
+
+        def recording(params, config, cache, label):
+            shapes.append((cache.x.shape[0], cache.coeffs.shape[0],
+                           cache.dropout_mask.shape[0], np.shape(label)))
+            return backward(params, config, cache, label)
+
+        monkeypatch.setattr(gc, "backward", recording)
+        assert gc.run_gradcheck(n_instances=2, seed=1).passed()
+        assert shapes == [(1, 1, 1, (1,))] * 2
 
     def test_requires_train_cache(self):
         cfg = ModelConfig(in_dim=3, hidden_dim=4, num_layers=1, dtype="float64")

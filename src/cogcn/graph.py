@@ -48,52 +48,56 @@ def _as_feature_matrix(x) -> np.ndarray:
     return x
 
 
+def _raw_cosine(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared row norms and unclamped similarities, 0 wherever a norm is 0."""
+    sq = np.einsum("ij,ij->i", x, x)
+    # sqrt of the product (not product of sqrts): one rounding step, so
+    # integer-valued collinear pairs come out exactly 1
+    denom = np.multiply.outer(sq, sq)
+    np.sqrt(denom, out=denom)
+    sim = x @ x.T
+    if not (x.flags.c_contiguous or x.flags.f_contiguous):  # see cosine_similarity_matrix
+        sim = np.triu(sim) + np.triu(sim, 1).T
+    low = sq.min()
+    if low * low > 0.0:  # the smallest entry of denom is sqrt(low * low)
+        return sq, np.divide(sim, denom, out=sim)
+    return sq, np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 0.0)
+
+
 def cosine_similarity_matrix(x) -> np.ndarray:
     """Pairwise cosine similarities, exactly symmetric and clamped to [-1, 1].
 
     Rows with zero norm get similarity 0 everywhere, including the diagonal:
     an all-zero frame carries no directional information. The diagonal of
-    every other row is exactly 1. Symmetry is exact because each unordered
-    pair is computed once and mirrored.
+    every other row is exactly 1. Symmetry is exact: numpy mirrors the
+    triangle of ``x @ x.T`` (a symmetric rank-k update) for a contiguous
+    ``x``, and ``_raw_cosine`` mirrors it for a strided one.
     """
-    x = _as_feature_matrix(x)
-    norms_sq = np.einsum("ij,ij->i", x, x)
-    # sqrt of the product (not product of sqrts): one rounding step, so
-    # integer-valued collinear pairs come out exactly 1
-    denom = np.sqrt(np.outer(norms_sq, norms_sq))
-    sim = np.where(denom > 0.0, (x @ x.T) / np.where(denom > 0.0, denom, 1.0), 0.0)
-    sim = np.triu(sim) + np.triu(sim, 1).T
-    np.fill_diagonal(sim, np.where(norms_sq > 0.0, 1.0, 0.0))
-    np.clip(sim, -1.0, 1.0, out=sim)
-    return sim
+    sq, sim = _raw_cosine(_as_feature_matrix(x))
+    np.fill_diagonal(sim, np.where(sq > 0.0, 1.0, 0.0))
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def build_cosine_graph(x, gamma: float) -> Graph:
     """Threshold the similarity matrix at ``gamma``.
 
     ``gamma`` must lie in (-1, 1]; anything <= -1 would yield a complete
-    graph and is rejected as a misconfiguration.
+    graph and is rejected as a misconfiguration. For such a gamma neither
+    the clamp nor the diagonal can change an edge, so neither is applied.
     """
     if not -1.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (-1, 1], got {gamma}")
     x = _as_feature_matrix(x)
-    sim = cosine_similarity_matrix(x)
-    adjacency = sim >= gamma
+    adjacency = _raw_cosine(x)[1] >= gamma
     np.fill_diagonal(adjacency, False)
-    degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
-    return Graph(x, adjacency, degree_hat)
+    return Graph(x, adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
 
 
 def build_temporal_graph(x) -> Graph:
     """Chain graph: frame i is connected to frames i-1 and i+1."""
     x = _as_feature_matrix(x)
-    n = x.shape[0]
-    adjacency = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n - 1)
-    adjacency[idx, idx + 1] = True
-    adjacency[idx + 1, idx] = True
-    degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
-    return Graph(x, adjacency, degree_hat)
+    adjacency = np.eye(len(x), k=1, dtype=bool) | np.eye(len(x), k=-1, dtype=bool)
+    return Graph(x, adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
 
 
 def norm_coefficients(g: Graph, include_self: bool = True) -> np.ndarray:
@@ -105,7 +109,7 @@ def norm_coefficients(g: Graph, include_self: bool = True) -> np.ndarray:
     are exactly zero.
     """
     inv_sqrt = 1.0 / np.sqrt(g.degree_hat)
-    coeffs = np.where(g.adjacency, np.outer(inv_sqrt, inv_sqrt), 0.0)
+    coeffs = np.multiply.outer(inv_sqrt, inv_sqrt) * g.adjacency
     if include_self:
         np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
     return coeffs

@@ -82,17 +82,14 @@ def check_grids(k_grid: tuple, gamma_grid: tuple) -> None:
 def cross_entropy_from_logits(logits, label):
     """Softmax cross-entropy -log(softmax(logits)[label]), computed in log space.
 
-    For a group's logits (B, C) and B labels it returns the B losses as an
-    array; for one graph, a float.
+    For a group's logits (B, C) and B labels it returns the B losses.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(label)
     if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    picked = shifted[label] if shifted.ndim == 1 else shifted[np.arange(len(labels)), labels]
-    loss = np.log(np.exp(shifted).sum(axis=-1)) - picked
-    return float(loss) if loss.ndim == 0 else loss
+    return np.log(np.exp(shifted).sum(axis=-1)) - shifted[np.arange(len(labels)), labels]
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +235,8 @@ def prepare_graphs(
     dt = config.np_dtype
     prepared = []
     for utt in dataset.utterances:
-        if graph_kind == "cosine":
-            g = build_cosine_graph(utt.features, gamma)
-        else:
-            g = build_temporal_graph(utt.features)
+        g = (build_cosine_graph(utt.features, gamma) if graph_kind == "cosine"
+             else build_temporal_graph(utt.features))
         coeffs = norm_coefficients(g, include_self=config.self_in_aggregation)
         prepared.append(
             PreparedGraph(

@@ -98,7 +98,7 @@ def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg):
         one_row = backward(params, config, one_cache, pg.label).flat
         _assert_same(rows.flat[b], one_row, config, bits=False)
         if config.dtype == "float64" or config.use_pre:
-            assert losses[b] == cross_entropy_from_logits(one_logits, pg.label)
+            assert losses[b] == cross_entropy_from_logits([one_logits], [pg.label])[0]
 
 
 @pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
@@ -117,7 +117,7 @@ def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip
         logits, _, cache = forward_arrays(params, config, pg.x, pg.coeffs, "train",
                                           dropout_mask=mask)
         if config.dtype == "float64" or config.use_pre:
-            assert losses[b] == cross_entropy_from_logits(logits, pg.label)
+            assert losses[b] == cross_entropy_from_logits([logits], [pg.label])[0]
         expected.flat += backward(params, config, cache, pg.label).flat
     expected.flat *= 1.0 / len(graphs)
     _assert_same(grads.flat, expected.flat, config)

@@ -5,7 +5,9 @@ at every `training.adam_step` call, so a rename or an inlined optimizer step
 would silently change what it measures. Its per-layer forward and backward
 figures assume one padded call per length group, not one per graph. Its per-layer counts of
 `prepare_graphs` and `train` calls, and the fold's peak memory, follow from
-the fold loop's shape, which is pinned here too.
+the fold loop's shape, which is pinned here too. Its graph-building figures
+and node counts come from one graph builder and one `norm_coefficients` call
+per utterance.
 """
 
 import importlib
@@ -119,3 +121,25 @@ def test_fold_loop_is_gamma_major(monkeypatch):
         # train and val graphs per gamma, then the test set's at the selected gamma
         assert len(prepared) == 2 * len(tc.gamma_grid) + 1
         assert sorted(trained) == sorted(itertools.product(tc.k_grid, tc.gamma_grid))
+
+
+@pytest.mark.parametrize("graph_kind", ["cosine", "temporal"])
+def test_prepare_graphs_builds_each_graph_once(monkeypatch, graph_kind):
+    dataset = synth_dataset(SynthSpec(n_classes=2, n_speakers=2, utt_per_speaker=3,
+                                      frames_lo=3, frames_hi=5, d=4, seed=0))
+    calls = []
+
+    def counting(name):
+        wrapped = getattr(training, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return wrapped(*args, **kwargs)
+        return counted
+
+    for name in ("build_cosine_graph", "build_temporal_graph", "norm_coefficients"):
+        monkeypatch.setattr(training, name, counting(name))
+    graphs = prepare_graphs(dataset, 0.5, graph_kind, ModelConfig(in_dim=4, num_classes=2))
+    n = len(dataset.utterances)
+    assert len(graphs) == n == 6
+    assert calls == [f"build_{graph_kind}_graph", "norm_coefficients"] * n

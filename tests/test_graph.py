@@ -134,6 +134,94 @@ class TestNormCoefficients:
         assert coeffs[1, 0] == pytest.approx(1.0 / math.sqrt(6.0))
 
 
+def parent_similarity(x):
+    """The similarity formula graph.py used before it thresholded the raw
+    matrix: masked where-divide, float mirror of the upper triangle for every
+    input, diagonal fill and clamp."""
+    x = np.asarray(x, dtype=np.float64)
+    norms_sq = np.einsum("ij,ij->i", x, x)
+    denom = np.sqrt(np.outer(norms_sq, norms_sq))
+    sim = np.where(denom > 0.0, (x @ x.T) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    sim = np.triu(sim) + np.triu(sim, 1).T
+    np.fill_diagonal(sim, np.where(norms_sq > 0.0, 1.0, 0.0))
+    np.clip(sim, -1.0, 1.0, out=sim)
+    return sim
+
+
+def parent_cosine_graph(x, gamma, include_self):
+    """The old threshold and coefficients on ``parent_similarity``:
+    where(adjacency, outer, 0) with the diagonal filled."""
+    adjacency = parent_similarity(x) >= gamma
+    np.fill_diagonal(adjacency, False)
+    degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(degree_hat)
+    coeffs = np.where(adjacency, np.outer(inv_sqrt, inv_sqrt), 0.0)
+    if include_self:
+        np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
+    return adjacency, degree_hat, coeffs
+
+
+def oracle_inputs():
+    """Zero-norm, collinear and duplicate rows and one-frame inputs, each in
+    C order, Fortran order and as two kinds of column slice."""
+    rng = np.random.default_rng(21)
+    bases = [np.array([[3.0, -1.0]]), np.zeros((1, 3)), np.zeros((3, 2)),
+             np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [-3.0, -3.0]])]
+    for trial in range(40):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+        x = rng.standard_normal((n, d))
+        if trial % 2:
+            x = np.round(x * 2.0)  # integer rows: collinear pairs have cosine exactly +-1
+        x[rng.integers(n)] = 0.0
+        x[rng.integers(n)] = x[rng.integers(n)] * float(rng.integers(1, 4))
+        bases.append(x)
+    # sizes at which numpy's product of a strided matrix with itself is not
+    # exactly symmetric, so that only the mirror in graph.py keeps it so
+    bases += [rng.standard_normal((n, d)) for n, d in ((201, 80), (236, 13), (273, 52))]
+    for x in bases:
+        yield x
+        yield np.asfortranarray(x)
+        yield np.hstack([x, x + 1.0])[:, : x.shape[1]]  # unit stride, wider rows
+        yield np.repeat(x, 2, axis=1)[:, ::2]  # strided columns
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 0.55, 0.6, 1.0])
+def test_cosine_graph_matches_parent_formulas_bytewise(gamma):
+    for x in oracle_inputs():
+        g = build_cosine_graph(x, gamma)
+        for include_self in (True, False):
+            adjacency, degree_hat, coeffs = parent_cosine_graph(x, gamma, include_self)
+            assert g.adjacency.tobytes() == adjacency.tobytes()
+            assert g.degree_hat.tobytes() == degree_hat.tobytes()
+            actual = norm_coefficients(g, include_self=include_self)
+            assert actual.dtype == np.float64 and actual.tobytes() == coeffs.tobytes()
+            assert actual.astype(np.float32).tobytes() == coeffs.astype(np.float32).tobytes()
+
+
+def test_similarity_matches_parent_formula():
+    # equal up to the sign of zero: the old float mirror turned -0.0 into +0.0
+    for x in oracle_inputs():
+        sim = cosine_similarity_matrix(x)
+        assert np.array_equal(sim, parent_similarity(x)) and np.array_equal(sim, sim.T)
+
+
+def test_temporal_graph_matches_parent_formulas_bytewise():
+    for n in (1, 2, 3, 17):
+        adjacency = np.zeros((n, n), dtype=bool)
+        idx = np.arange(n - 1)
+        adjacency[idx, idx + 1] = adjacency[idx + 1, idx] = True
+        degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
+        inv_sqrt = 1.0 / np.sqrt(degree_hat)
+        g = build_temporal_graph(np.ones((n, 2)))
+        assert g.adjacency.tobytes() == adjacency.tobytes()
+        assert g.degree_hat.tobytes() == degree_hat.tobytes()
+        for include_self in (True, False):
+            coeffs = np.where(adjacency, np.outer(inv_sqrt, inv_sqrt), 0.0)
+            if include_self:
+                np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
+            assert norm_coefficients(g, include_self).tobytes() == coeffs.tobytes()
+
+
 class TestExports:
     def test_dot_chain(self, tmp_path):
         g = build_temporal_graph(np.zeros((3, 1)))

@@ -40,27 +40,27 @@ from cogcn.gradcheck import run_gradcheck
 
 class TestCrossEntropy:
     def test_uniform(self):
-        assert cross_entropy_from_logits([0.0, 0.0, 0.0, 0.0], 0) == pytest.approx(
+        assert cross_entropy_from_logits([[0.0, 0.0, 0.0, 0.0]], [0])[0] == pytest.approx(
             math.log(4)
         )
 
     def test_confident_correct(self):
-        assert cross_entropy_from_logits([0.0, -1000.0, -1000.0], 0) == 0.0
+        assert cross_entropy_from_logits([[0.0, -1000.0, -1000.0]], [0])[0] == 0.0
 
     def test_hand_value(self):
         logits = np.log([0.1, 0.2, 0.3, 0.4])
-        assert cross_entropy_from_logits(logits, 3) == pytest.approx(0.916290731874155)
+        assert cross_entropy_from_logits([logits], [3])[0] == pytest.approx(0.916290731874155)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            cross_entropy_from_logits([0.5, 0.5], 2)
+            cross_entropy_from_logits([[0.5, 0.5]], [2])
 
     def test_logits_route_matches_probs_route(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             logits = rng.standard_normal(5) * 3
             label = int(rng.integers(5))
-            assert cross_entropy_from_logits(logits, label) == pytest.approx(
+            assert cross_entropy_from_logits([logits], [label])[0] == pytest.approx(
                 -math.log(softmax(logits)[label]), rel=1e-12
             )
 
@@ -68,7 +68,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(1)
         for _ in range(100):
             logits = rng.standard_normal(4)
-            assert cross_entropy_from_logits(logits, int(rng.integers(4))) >= 0.0
+            assert cross_entropy_from_logits([logits], [int(rng.integers(4))])[0] >= 0.0
 
 
 class TestBackward:

@@ -25,6 +25,9 @@ the pre-layer and stay zero in every layer. The padding adds only exact
 zeros to each graph's sums, so a graph gets the bits of its own call
 wherever BLAS sums in an order that does not depend on the padded length
 (see tests/test_batching.py).
+
+Training passes a ``Workspace``, so that every node-sized intermediate goes
+into a reused array with ``out=``; without one numpy allocates.
 """
 
 from __future__ import annotations
@@ -164,8 +167,22 @@ class ForwardCache:
     mode: str
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+class Workspace:
+    """One flat array per name, reused by every batch of a ``train`` call.
+
+    Pass ``out=workspace and workspace.take(...)``: without one numpy allocates.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """The first prod(shape) entries of array ``name``, replaced if too small; not zeroed."""
+        size = math.prod(shape)
+        flat = self.arrays.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self.arrays[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -215,6 +232,7 @@ def forward_arrays(
     mode: str = "eval",
     dropout_mask: np.ndarray | None = None,
     n_nodes: np.ndarray | None = None,
+    workspace=None,
 ):
     """Forward pass on pre-extracted node features and aggregation coefficients.
 
@@ -222,7 +240,9 @@ def forward_arrays(
     zero-padded (see the module docstring). Returns (logits, probs, cache),
     with a leading group axis for a group. Train mode applies
     ``dropout_mask``, one row per graph of a group, which the caller draws
-    with ``sample_dropout_mask``.
+    with ``sample_dropout_mask``. With a ``workspace`` the node-sized
+    intermediates are written into its arrays, so the cache is valid only
+    until the next call with that workspace.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got '{mode}'")
@@ -239,9 +259,12 @@ def forward_arrays(
         counts = np.asarray(n_nodes, dtype=dt)[:, None]
         node_mask = (np.arange(x.shape[-2]) < counts)[..., None]
 
+    hidden = x.shape[:-1] + (config.hidden_dim,)
     if config.use_pre:
-        pre_act = x @ params.w_pre.T + params.b_pre
-        h = _relu(pre_act)
+        pre_act = np.matmul(x, params.w_pre.T,
+                            out=workspace and workspace.take("pre_act", hidden, dt))
+        pre_act += params.b_pre
+        h = np.maximum(pre_act, 0.0, out=workspace and workspace.take("h0", hidden, dt))
         if node_mask is not None:
             h *= node_mask  # padding rows were relu(b_pre); zero rows stay zero
     else:
@@ -253,12 +276,14 @@ def forward_arrays(
     mp_preacts: list[np.ndarray] = []
     skips: list[bool] = []
     for k in range(config.num_layers):
-        agg = coeffs @ h
-        preact = agg @ params.w_msg[k].T
-        h_new = _relu(preact)
+        agg = np.matmul(coeffs, h, out=workspace and workspace.take(f"agg{k}", h.shape, dt))
+        preact = np.matmul(agg, params.w_msg[k].T,
+                           out=workspace and workspace.take(f"preact{k}", hidden, dt))
+        h_new = np.maximum(preact, 0.0,
+                           out=workspace and workspace.take(f"h{k + 1}", hidden, dt))
         skip = config.use_skip and h_new.shape == h.shape
         if skip:
-            h_new = h_new + h
+            h_new += h
         aggs.append(agg)
         mp_preacts.append(preact)
         skips.append(skip)

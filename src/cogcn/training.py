@@ -6,8 +6,9 @@ forward pipeline in ``model`` composed with softmax cross-entropy; the
 Training cuts each batch, in ascending utterance order, into consecutive
 runs of graphs, runs one padded forward and backward per run, sums the
 per-graph gradients in that order, averages them, and takes one Adam step
-per batch. Cross-validation holds out one speaker per fold for testing plus
-the lexicographically next speaker for validation-based selection of the
+per batch, in place; one ``train`` call's batches and validation passes share
+one ``Workspace``. Cross-validation holds out one speaker per fold for testing
+plus the lexicographically next speaker for validation-based selection of the
 layer count and similarity threshold.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from .features import Dataset, StandardizeStats, apply_standardizer, fit_standardizer
 from .graph import build_cosine_graph, build_temporal_graph, norm_coefficients
 from .model import (ForwardCache, ModelConfig, ModelParams, forward_arrays, init_params,
-                    param_count, sample_dropout_mask)
+                    Workspace, param_count, sample_dropout_mask)
 from .util import substream, write_text_atomic
 
 GRAPH_KINDS = ("cosine", "temporal")
@@ -49,8 +50,8 @@ class TrainConfig:
     graph_kind: str = "cosine"
 
     def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -97,7 +98,7 @@ def cross_entropy_from_logits(logits, label):
 
 
 def backward(
-    params: ModelParams, config: ModelConfig, cache: ForwardCache, label
+    params: ModelParams, config: ModelConfig, cache: ForwardCache, label, workspace=None
 ) -> ModelParams:
     """Exact gradients of softmax cross-entropy w.r.t. every parameter.
 
@@ -105,7 +106,8 @@ def backward(
     the shared aggregation coefficients, and the optional pre-layer. Requires
     a train-mode cache from ``forward`` on the same parameters. For a group's
     cache ``label`` holds one label per graph, and the result holds one
-    gradient row per graph: ``flat`` has shape (B, size).
+    gradient row per graph: ``flat`` has shape (B, size), valid until the next
+    call with the same ``workspace`` if one is given.
     """
     if cache.mode != "train":
         raise ValueError("backward requires a train-mode forward cache")
@@ -119,7 +121,9 @@ def backward(
 
     # every entry is written in place into the views of the flat rows
     dt = config.np_dtype
-    grads = ModelParams(config, np.empty(labels.shape + (param_count(config),), dtype=dt))
+    shape = labels.shape + (param_count(config),)
+    grads = ModelParams(config, workspace.take("grad_rows", shape, dt) if workspace
+                        else np.empty(shape, dtype=dt))
     d_logits = grads.b_out
     np.subtract(cache.probs, np.eye(config.num_classes, dtype=dt)[labels], out=d_logits)
 
@@ -128,21 +132,29 @@ def backward(
 
     # the readout gradient on every real node; padding rows get 0
     dh = (d_h_graph / cache.counts)[..., None, :]
+    hidden = cache.hs[-1].shape
     if cache.node_mask is None:
-        dh = np.broadcast_to(dh, cache.hs[-1].shape)
+        dh = np.broadcast_to(dh, hidden)
     else:
-        dh = dh * cache.node_mask
+        dh = np.multiply(dh, cache.node_mask, out=workspace and workspace.take("dh0", hidden, dt))
 
+    # dh alternates between two arrays: layer k reads one and writes the other
     for k in reversed(range(config.num_layers)):
         incoming = dh
-        d_preact = incoming * (cache.mp_preacts[k] > 0)
+        d_preact = np.multiply(incoming, cache.mp_preacts[k] > 0,
+                               out=workspace and workspace.take("d_preact", hidden, dt))
         np.matmul(d_preact.swapaxes(-1, -2), cache.aggs[k], out=grads.w_msg[k])
-        dh = cache.coeffs.swapaxes(-1, -2) @ (d_preact @ params.w_msg[k])
+        d_agg = np.matmul(d_preact, params.w_msg[k],
+                          out=workspace and workspace.take("d_agg", cache.hs[k].shape, dt))
+        dh_name = f"dh{(config.num_layers - k) % 2}"
+        dh = np.matmul(cache.coeffs.swapaxes(-1, -2), d_agg,
+                       out=workspace and workspace.take(dh_name, cache.hs[k].shape, dt))
         if cache.skips[k]:
-            dh = dh + incoming
+            dh += incoming
 
     if config.use_pre:
-        d_pre = dh * (cache.pre_act > 0)
+        d_pre = np.multiply(dh, cache.pre_act > 0,
+                            out=workspace and workspace.take("d_preact", hidden, dt))
         np.matmul(d_pre.swapaxes(-1, -2), cache.x, out=grads.w_pre)
         d_pre.sum(axis=-2, out=grads.b_pre)
     return grads
@@ -174,18 +186,17 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update on the flat vector; returns fresh params and state."""
+    """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
     if grads.flat.shape != params.flat.shape:
         raise ValueError(
             f"gradient/parameter mismatch: {grads.flat.shape} vs {params.flat.shape}"
         )
-    t = state.t + 1
-    g = grads.flat
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    new_params = params.copy()
-    new_params.flat -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
-    return new_params, AdamState(m, v, t)
+    state.t += 1
+    t, g, m, v = state.t, grads.flat, state.m, state.v
+    np.add(beta1 * m, (1.0 - beta1) * g, out=m)
+    np.add(beta2 * v, (1.0 - beta2) * (g * g), out=v)
+    params.flat -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +291,11 @@ def _groups(graphs: list[PreparedGraph]):
         yield x, coeffs, n_nodes, labels
 
 
-def _evaluate_groups(params: ModelParams, config: ModelConfig, groups) -> Metrics:
+def _evaluate_groups(params: ModelParams, config: ModelConfig, groups, workspace=None) -> Metrics:
     confusion = np.zeros((config.num_classes, config.num_classes), dtype=np.int64)
     for x, coeffs, n_nodes, labels in groups:
-        _, probs, _ = forward_arrays(params, config, x, coeffs, mode="eval", n_nodes=n_nodes)
+        _, probs, _ = forward_arrays(params, config, x, coeffs, mode="eval", n_nodes=n_nodes,
+                                     workspace=workspace)
         np.add.at(confusion, (labels, probs.argmax(axis=-1)), 1)
     return metrics_from_confusion(confusion)
 
@@ -343,6 +355,7 @@ def train(
     state = init_adam_state(params)
 
     n_train = len(prepared_train)
+    workspace = Workspace()  # reused by every batch and validation pass below
     val_groups = list(_groups(prepared_val))  # padded once for every epoch
     history: list[EpochStats] = []
     best_params = params.copy()
@@ -355,7 +368,7 @@ def train(
             for start in range(0, n_train, tc.batch_size):
                 batch = sorted(order[start : start + tc.batch_size])
                 batch = [prepared_train[i] for i in batch]
-                losses, grads = _batch_gradient(params, config, batch, rng_dropout)
+                losses, grads = _batch_gradient(params, config, batch, rng_dropout, workspace)
                 for loss in losses.tolist():
                     loss_sum += loss
                 params, state = adam_step(params, grads, state, tc.lr)
@@ -368,7 +381,7 @@ def train(
                     f"training diverged at epoch {epoch} with K={config.num_layers}: "
                     f"train_loss {train_loss}, {n_bad} non-finite parameters"
                 )
-            val_metrics = _evaluate_groups(params, config, val_groups)
+            val_metrics = _evaluate_groups(params, config, val_groups, workspace)
             history.append(EpochStats(epoch, train_loss, val_metrics.wa, val_metrics.ua))
             if val_metrics.ua > best_ua:
                 best_ua = val_metrics.ua
@@ -381,24 +394,29 @@ def _batch_gradient(
     config: ModelConfig,
     batch: list[PreparedGraph],
     rng_dropout: np.random.Generator,
+    workspace=None,
 ) -> tuple[np.ndarray, ModelParams]:
     """Per-graph losses and the mean gradient of a batch in utterance order.
 
     One forward and one backward per run of ``_groups``. The dropout masks
     are drawn, and the per-graph gradients summed, in the batch's order, as
-    one call per graph would.
+    one call per graph would. The gradient is valid until the next call with
+    the same ``workspace``.
     """
     masks = sample_dropout_mask(config, rng_dropout, (len(batch),))
     losses = np.empty(len(batch))
-    grads = ModelParams(config)
+    size = (param_count(config),)
+    grads = ModelParams(config, workspace and workspace.take("grad", size, config.np_dtype))
+    grads.flat[...] = 0.0
     start = 0
     for x, coeffs, n_nodes, labels in _groups(batch):
         at = slice(start, start + len(labels))
         logits, _, cache = forward_arrays(
-            params, config, x, coeffs, "train", dropout_mask=masks[at], n_nodes=n_nodes
+            params, config, x, coeffs, "train", dropout_mask=masks[at], n_nodes=n_nodes,
+            workspace=workspace,
         )
         losses[at] = cross_entropy_from_logits(logits, labels)
-        for row in backward(params, config, cache, labels).flat:
+        for row in backward(params, config, cache, labels, workspace).flat:
             grads.flat += row
         start = at.stop
     grads.flat *= 1.0 / len(batch)

@@ -3,17 +3,20 @@
 `train` cuts each batch into consecutive runs, one padded forward and one
 backward per run, and sums the per-graph gradients in ascending utterance
 order. Each graph of a run must get the bits its own call gives, so that
-training output does not depend on how a batch is cut.
+training output does not depend on how a batch is cut. A run through the
+workspace that `train` reuses must get the bits of freshly allocated arrays.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cogcn import ModelConfig, build_cosine_graph, init_params, norm_coefficients
+from cogcn import ModelConfig, TrainConfig, build_cosine_graph, init_params, norm_coefficients
+from cogcn import training
 from cogcn.gradcheck import GradcheckInstance, finite_difference_grads, max_relative_error
-from cogcn.model import ModelParams, forward_arrays, sample_dropout_mask
+from cogcn.model import ModelParams, Workspace, forward_arrays, sample_dropout_mask
 from cogcn.training import (
     MAX_GROUP_ENTRIES,
     PreparedGraph,
@@ -121,6 +124,71 @@ def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip
         expected.flat += backward(params, config, cache, pg.label).flat
     expected.flat *= 1.0 / len(graphs)
     _assert_same(grads.flat, expected.flat, config)
+
+
+@pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
+def test_workspace_gives_the_bits_of_fresh_arrays(dtype, use_pre, use_skip, self_agg,
+                                                  monkeypatch):
+    config = _config(dtype, use_pre, use_skip, self_agg)
+    params = _params(config, 9)
+    graphs = _graphs(config, seed=10)
+    workspace = Workspace()
+    # one group of all ten graphs, padded to 130, leaves every array larger
+    # than the runs below need; then every entry is set to NaN, so a value
+    # that a call reads without writing it first shows
+    monkeypatch.setattr(training, "MAX_GROUP_ENTRIES", len(graphs) * 130**2)
+    (x, coeffs, n_nodes, labels), = _groups(graphs)
+    masks = sample_dropout_mask(config, np.random.default_rng(11), (len(graphs),))
+    _, _, cache = forward_arrays(params, config, x, coeffs, "train", dropout_mask=masks,
+                                 n_nodes=n_nodes, workspace=workspace)
+    backward(params, config, cache, labels, workspace)
+    _batch_gradient(params, config, graphs, np.random.default_rng(12), workspace)
+    for array in workspace.arrays.values():
+        array.fill(np.nan)
+    monkeypatch.undo()
+
+    # runs of 3, 6 and 1 graphs (the last a group of one), then a 2-frame graph alone
+    runs = list(_groups(graphs)) + list(_groups(graphs[1:2]))
+    assert [len(labels) for *_, labels in runs] == [3, 6, 1, 1]
+    for x, coeffs, n_nodes, labels in runs:
+        mask = masks[: len(labels)]
+        fresh = forward_arrays(params, config, x, coeffs, "train", dropout_mask=mask,
+                               n_nodes=n_nodes)
+        reused = forward_arrays(params, config, x, coeffs, "train", dropout_mask=mask,
+                                n_nodes=n_nodes, workspace=workspace)
+        for a, b in zip(reused[:2], fresh[:2]):  # logits, probs
+            assert a.tobytes() == b.tobytes()
+        rows = backward(params, config, reused[2], labels, workspace).flat
+        assert rows.tobytes() == backward(params, config, fresh[2], labels).flat.tobytes()
+    fresh = _batch_gradient(params, config, graphs, np.random.default_rng(5))
+    reused = _batch_gradient(params, config, graphs, np.random.default_rng(5), workspace)
+    assert reused[0].tobytes() == fresh[0].tobytes()  # losses
+    assert reused[1].flat.tobytes() == fresh[1].flat.tobytes()
+
+
+def test_train_reuses_one_workspace_across_batches(monkeypatch):
+    config = _config("float32", True, True, True)
+    # eight 5-frame graphs in batches of 4: every batch is one (4, 5) group
+    train_graphs = _graphs(config, lengths=(5,) * 8, seed=12)
+    val_graphs = [replace(pg, id=f"val{i}") for i, pg in
+                  enumerate(_graphs(config, lengths=(5,) * 3, seed=13))]
+    caches = []
+    forward = training.forward_arrays
+
+    def captured(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        if result[2].mode == "train":
+            caches.append(result[2])
+        return result
+
+    monkeypatch.setattr(training, "forward_arrays", captured)
+    training.train(train_graphs, val_graphs, TrainConfig(model=config, epochs=2, batch_size=4))
+    assert len(caches) == 4
+    for a, b in zip(caches, caches[1:]):
+        assert a.x.shape == b.x.shape == (4, 5, D)
+        for u, v in zip([a.pre_act, *a.hs, *a.aggs, *a.mp_preacts],
+                        [b.pre_act, *b.hs, *b.aggs, *b.mp_preacts]):
+            assert np.shares_memory(u, v)
 
 
 @pytest.mark.parametrize("use_pre, use_skip, self_agg", itertools.product((True, False),

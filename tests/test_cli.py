@@ -133,6 +133,14 @@ class TestTrain:
         assert not (out / "metrics.json").exists()
         assert not list(out.glob("fold_*"))
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_fails_before_training(self, tmp_path, data_dir, capsys, lr):
+        out = tmp_path / "r"
+        assert run(["train", "--data", data_dir, "--lr", lr, "--k", 1, "--z", 8,
+                    "--epochs", 1, "-o", out]) == 1
+        assert f"lr must be a finite number > 0, got {lr}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverged_run_prints_only_the_error(self, tmp_path, capfd):
         data = tmp_path / "tiny"
         assert run(["synth", "--classes", 2, "--speakers", 3, "--utts", 6, "--frames-lo", 4,

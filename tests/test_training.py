@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cogcn import (
+    AdamState,
     ModelConfig,
     ModelParams,
     SynthSpec,
@@ -167,7 +168,7 @@ class TestAdam:
         params = self._params([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
         grads = self._grads([[0.5, -0.25, 2.0], [0.0, 0.0, 0.0]])
         state = init_adam_state(params)
-        new, state = adam_step(params, grads, state, lr=0.1, eps=1e-8)
+        new, state = adam_step(params.copy(), grads, state, lr=0.1, eps=1e-8)
         expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
         assert new.w_out[0, 0] == pytest.approx(expected, rel=1e-12)
         # each parameter moves by ~lr in the direction opposite the gradient
@@ -180,7 +181,7 @@ class TestAdam:
         params = self._params(1.0)
         grads = ModelParams(self.CFG)
         state = init_adam_state(params)
-        new, state = adam_step(params, grads, state, lr=0.1)
+        new, state = adam_step(params.copy(), grads, state, lr=0.1)
         np.testing.assert_array_equal(new.flat, params.flat)
         assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
@@ -198,8 +199,18 @@ class TestAdam:
         params = init_params(self.CFG, 0)
         params.flat[...] = rng.standard_normal(params.flat.size)
         grads = ModelParams(self.CFG, rng.standard_normal(params.flat.size) * 100)
-        new, _ = adam_step(params, grads, init_adam_state(params), lr=0.05)
+        new, _ = adam_step(params.copy(), grads, init_adam_state(params), lr=0.05)
         assert np.max(np.abs(new.flat - params.flat)) <= 0.05 * (1 + 1e-9)
+
+    def test_updates_in_place(self):
+        params = init_params(self.CFG, 0)
+        grads = ModelParams(self.CFG, np.full(params.flat.size, 0.5))
+        state = init_adam_state(params)
+        flat, m, v = params.flat, state.m, state.v
+        new, new_state = adam_step(params, grads, state, lr=0.1)
+        assert new is params and new_state is state and state.t == 1
+        assert new.flat is flat and new_state.m is m and new_state.v is v
+        assert np.all(m > 0.0) and np.all(flat != init_params(self.CFG, 0).flat)
 
     def test_mismatched_shapes_rejected(self):
         params = init_params(self.CFG, 0)
@@ -218,7 +229,8 @@ class TestAdam:
         state = init_adam_state(params)
         for t in (1, 2, 3):
             grads = ModelParams(self.CFG, rng.standard_normal(params.flat.size))
-            new, new_state = adam_step(params, grads, state, lr, b1, b2, eps)
+            moments = AdamState(state.m.copy(), state.v.copy(), state.t)
+            new, new_state = adam_step(params.copy(), grads, moments, lr, b1, b2, eps)
             for name, shape, offset in param_layout(self.CFG):
                 part = slice(offset, offset + math.prod(shape))
                 g = grads.arrays[name]

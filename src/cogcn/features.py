@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -141,6 +142,11 @@ class StandardizeStats:
 
 
 def _read_feature_csv(path: Path) -> np.ndarray:
+    """One utterance's (n, d) frames: one C-level parse, then checks in numpy.
+
+    A file the parse or the checks reject is walked line by line by
+    ``_locate_fault``, which raises the error with ``path:line``.
+    """
     if not path.exists():
         raise DataError(f"{path}: feature file not found")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -152,9 +158,29 @@ def _read_feature_csv(path: Path) -> np.ndarray:
     ]:
         raise DataError(f"{path}:1: malformed header '{lines[0]}'")
     d = len(header) - 1
-    rows: list[list[float]] = []
+    body = lines[1:]
+    if not any(body):  # no frame rows; loadtxt would warn about it
+        return np.empty((0, d))
+    row = np.dtype([("index", np.int64), ("values", np.float64, (d,))])
+    try:
+        rows = np.loadtxt(body, dtype=row, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        _locate_fault(path, body, d, exc)
+    index, values = rows["index"], rows["values"]
+    if index[0] != 0 or np.any(index[1:] <= index[:-1]) or not np.isfinite(values).all():
+        _locate_fault(path, body, d, None)
+    return np.ascontiguousarray(values)
+
+
+def _locate_fault(path: Path, body: list[str], d: int, exc: ValueError | None) -> NoReturn:
+    """Raise the first fault of a feature file's frame rows as a ``DataError``.
+
+    Walks the rows with Python's ``int`` and ``float``, which accept digit
+    separators that the bulk parse rejects, so ``_`` is refused here too.
+    ``exc`` is the bulk parse's error, reported if no row is at fault.
+    """
     prev_index = -1
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line:
             continue
         cells = line.split(",")
@@ -165,8 +191,10 @@ def _read_feature_csv(path: Path) -> np.ndarray:
         try:
             frame_index = int(cells[0])
             values = [float(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if "_" in line:
+                raise ValueError(f"digit separator '_' in '{line}'")
+        except ValueError as err:
+            raise DataError(f"{path}:{lineno}: {err}") from err
         if frame_index <= prev_index or (prev_index == -1 and frame_index != 0):
             raise DataError(
                 f"{path}:{lineno}: frame_index must increase strictly from 0"
@@ -174,8 +202,7 @@ def _read_feature_csv(path: Path) -> np.ndarray:
         prev_index = frame_index
         if not all(np.isfinite(values)):
             raise DataError(f"{path}:{lineno}: non-finite feature value")
-        rows.append(values)
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
+    raise DataError(f"{path}: {exc}") from exc
 
 
 def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:

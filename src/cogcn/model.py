@@ -153,7 +153,7 @@ class ForwardCache:
     x: np.ndarray
     coeffs: np.ndarray
     counts: np.ndarray | int  # node count(s) the readout divides by
-    node_mask: np.ndarray | None  # (B, N, 1) true for real nodes; None for one graph
+    node_mask: np.ndarray | None  # (B, N, 1) 1 for real nodes, 0 for padding; None for one graph
     pre_act: np.ndarray | None  # pre-layer pre-activation, None when pre is off
     hs: list  # h_0 .. h_K
     aggs: list  # coeffs @ h_k per layer
@@ -257,7 +257,8 @@ def forward_arrays(
         counts, node_mask = x.shape[-2], None
     else:
         counts = np.asarray(n_nodes, dtype=dt)[:, None]
-        node_mask = (np.arange(x.shape[-2]) < counts)[..., None]
+        # 0/1 in the model dtype: the same products as a bool mask, without the cast
+        node_mask = (np.arange(x.shape[-2]) < counts).astype(dt)[..., None]
 
     hidden = x.shape[:-1] + (config.hidden_dim,)
     if config.use_pre:

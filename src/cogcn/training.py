@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -241,54 +240,62 @@ def prepare_graphs(
     dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig
 ) -> list[PreparedGraph]:
     """Build one graph per utterance and cast tensors to the model dtype."""
+    return list(_prepared(dataset, gamma, graph_kind, config))
+
+
+def _prepared(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig):
+    """``prepare_graphs`` one utterance at a time, each graph built when asked for."""
     if graph_kind not in GRAPH_KINDS:
         raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
     dt = config.np_dtype
-    prepared = []
     for utt in dataset.utterances:
         g = (build_cosine_graph(utt.features, gamma) if graph_kind == "cosine"
              else build_temporal_graph(utt.features))
         coeffs = norm_coefficients(g, include_self=config.self_in_aggregation)
-        prepared.append(
-            PreparedGraph(
-                id=utt.id,
-                x=np.ascontiguousarray(utt.features, dtype=dt),
-                coeffs=np.ascontiguousarray(coeffs, dtype=dt),
-                label=utt.label,
-            )
+        yield PreparedGraph(
+            id=utt.id,
+            x=np.ascontiguousarray(utt.features, dtype=dt),
+            coeffs=np.ascontiguousarray(coeffs, dtype=dt),
+            label=utt.label,
         )
-    return prepared
 
 
-def _groups(graphs: list[PreparedGraph]):
+def _groups(graphs):
     """Consecutive runs of ``graphs``, in order, as (x, coeffs, n_nodes, labels).
 
     A run takes the next graph while (members + 1) * N_max**2 stays within
     ``MAX_GROUP_ENTRIES``, N_max being the longest length of the members and
-    that graph. A run of several is zero-padded to its longest graph; a run
-    of one is views of its graph's own arrays as a group of one, with no
-    padding and so no ``n_nodes``.
+    that graph. Each run is yielded as soon as the next graph would break it,
+    so an iterator of graphs is consumed one run at a time.
     """
-    runs, n_max = [], 0
+    run, n_max = [], 0
     for pg in graphs:
         n_max = max(n_max, pg.x.shape[0])
-        if not runs or (len(runs[-1]) + 1) * n_max**2 > MAX_GROUP_ENTRIES:
-            runs.append([])
-            n_max = pg.x.shape[0]
-        runs[-1].append(pg)
-    for run in runs:
-        labels = np.array([pg.label for pg in run])
-        if len(run) == 1:
-            yield run[0].x[None], run[0].coeffs[None], None, labels
-            continue
-        n_nodes = np.array([pg.x.shape[0] for pg in run])
-        n_max, dt = n_nodes.max(), run[0].x.dtype
-        x = np.zeros((len(run), n_max, run[0].x.shape[1]), dtype=dt)
-        coeffs = np.zeros((len(run), n_max, n_max), dtype=dt)
-        for b, (pg, n) in enumerate(zip(run, n_nodes)):
-            x[b, :n] = pg.x
-            coeffs[b, :n, :n] = pg.coeffs
-        yield x, coeffs, n_nodes, labels
+        if run and (len(run) + 1) * n_max**2 > MAX_GROUP_ENTRIES:
+            yield _padded(run)
+            run, n_max = [], pg.x.shape[0]
+        run.append(pg)
+    if run:
+        yield _padded(run)
+
+
+def _padded(run: list[PreparedGraph]):
+    """One run as (x, coeffs, n_nodes, labels).
+
+    A run of several is zero-padded to its longest graph; a run of one is
+    views of its graph's own arrays, with no padding and so no ``n_nodes``.
+    """
+    labels = np.array([pg.label for pg in run])
+    if len(run) == 1:
+        return run[0].x[None], run[0].coeffs[None], None, labels
+    n_nodes = np.array([pg.x.shape[0] for pg in run])
+    n_max, dt = n_nodes.max(), run[0].x.dtype
+    x = np.zeros((len(run), n_max, run[0].x.shape[1]), dtype=dt)
+    coeffs = np.zeros((len(run), n_max, n_max), dtype=dt)
+    for b, (pg, n) in enumerate(zip(run, n_nodes)):
+        x[b, :n] = pg.x
+        coeffs[b, :n, :n] = pg.coeffs
+    return x, coeffs, n_nodes, labels
 
 
 def _evaluate_groups(params: ModelParams, config: ModelConfig, groups, workspace=None) -> Metrics:
@@ -307,10 +314,14 @@ def evaluate(
     gamma: float,
     graph_kind: str,
 ) -> Metrics:
-    """Argmax prediction per utterance on an (already standardized) dataset."""
+    """Argmax prediction per utterance on an (already standardized) dataset.
+
+    Graphs are built as ``_groups`` cuts its runs, so a run's graphs are freed
+    before the next run is evaluated, not held for the whole dataset.
+    """
     if not dataset.utterances:
         raise ValueError("empty dataset")
-    prepared = prepare_graphs(dataset, gamma, graph_kind, config)
+    prepared = _prepared(dataset, gamma, graph_kind, config)
     return _evaluate_groups(params, config, _groups(prepared))
 
 
@@ -550,6 +561,8 @@ def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
         )
     indices = range(len(speakers))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays the import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             folds = list(pool.map(run_fold, *zip(*[(dataset, tc, i) for i in indices])))
     else:

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from cogcn import (ModelConfig, SynthSpec, TrainConfig, prepare_graphs, synth_dataset,
-                   train)
+from cogcn import (ModelConfig, SynthSpec, TrainConfig, init_params, prepare_graphs,
+                   synth_dataset, train)
 from cogcn import training
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -95,7 +95,8 @@ def test_fold_loop_is_gamma_major(monkeypatch):
                      epochs=1, k_grid=(1, 2), gamma_grid=(0.5, 0.55, 0.6))
     prepared = []  # (gamma, weak references to the graphs) per prepare_graphs call
     trained = []
-    prepare, fit = training.prepare_graphs, training.train
+    evaluated = []
+    prepare, fit, score = training.prepare_graphs, training.train, training.evaluate
 
     def alive():
         return {g for g, refs in prepared if any(ref() is not None for ref in refs)}
@@ -112,15 +113,52 @@ def test_fold_loop_is_gamma_major(monkeypatch):
         trained.append((tc_run.model.num_layers, gamma))
         return fit(p_train, p_val, tc_run)
 
+    def tracked_evaluate(params, config, ds, gamma, graph_kind):
+        evaluated.append(gamma)
+        return score(params, config, ds, gamma, graph_kind)
+
     monkeypatch.setattr(training, "prepare_graphs", tracked_prepare)
     monkeypatch.setattr(training, "train", tracked_train)
+    monkeypatch.setattr(training, "evaluate", tracked_evaluate)
     for fold in range(len(dataset.speakers)):
         prepared.clear()
         trained.clear()
-        training.run_fold(dataset, tc, fold)
-        # train and val graphs per gamma, then the test set's at the selected gamma
-        assert len(prepared) == 2 * len(tc.gamma_grid) + 1
+        evaluated.clear()
+        result = training.run_fold(dataset, tc, fold)
+        # train and val graphs per gamma; the test set streams through evaluate
+        assert len(prepared) == 2 * len(tc.gamma_grid)
         assert sorted(trained) == sorted(itertools.product(tc.k_grid, tc.gamma_grid))
+        assert evaluated == [result.selected_gamma]
+
+
+def test_evaluate_frees_each_run_before_the_next(monkeypatch):
+    # with one or two 3-5-frame graphs per run, the test set is several runs;
+    # a run's graphs must be gone by the time a later run is evaluated
+    dataset = synth_dataset(SynthSpec(n_classes=2, n_speakers=2, utt_per_speaker=6,
+                                      frames_lo=3, frames_hi=5, d=4, seed=0))
+    config = ModelConfig(in_dim=4, hidden_dim=4, num_classes=2)
+    built = []  # a weak reference to each graph, in build order
+    forwards = []
+    prepared_graph, forward = training.PreparedGraph, training.forward_arrays
+
+    class TrackedGraph(prepared_graph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    def tracked_forward(params, config, x, *args, **kwargs):
+        first = sum(n for n, _ in forwards)  # build index of this run's first graph
+        alive = [i for i, ref in enumerate(built) if ref() is not None]
+        assert alive and min(alive) >= first, f"graphs {alive} alive evaluating from {first}"
+        forwards.append((len(x), alive))
+        return forward(params, config, x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "MAX_GROUP_ENTRIES", 2 * 5**2)
+    monkeypatch.setattr(training, "PreparedGraph", TrackedGraph)
+    monkeypatch.setattr(training, "forward_arrays", tracked_forward)
+    training.evaluate(init_params(config, 0), config, dataset, 0.5, "cosine")
+    assert sum(n for n, _ in forwards) == len(built) == len(dataset.utterances) == 12
+    assert len(forwards) > 2
 
 
 @pytest.mark.parametrize("graph_kind", ["cosine", "temporal"])

@@ -331,3 +331,12 @@ class TestDiag:
             assert run(argv) == 1
             assert message in capsys.readouterr().err
         assert not (tmp_path / "jobs").exists()  # rejected before the output is made
+
+
+def test_import_does_not_load_the_process_pool():
+    # only `train --jobs N` with N > 1 needs the pool, so loso_cv imports it there
+    env = {**os.environ, "PYTHONPATH": str(Path(cogcn.__file__).parents[1])}
+    probe = "import sys, cogcn.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

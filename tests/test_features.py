@@ -1,10 +1,13 @@
 """Ingestion, standardization, and the synthetic generator."""
 
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cogcn import features
 from cogcn import (
     DataError,
     Dataset,
@@ -118,6 +121,143 @@ class TestLoadDataset:
         )
         with pytest.raises(DataError, match="frame_index"):
             load_dataset(tmp_path / "manifest.jsonl")
+
+
+def per_line_reader(path: Path) -> np.ndarray:
+    """The feature-file reader before the bulk parse: one int() and d float()s
+    per line. An oracle for the outcome (array or error text) of a file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise DataError(f"{path}: missing header row")
+    header = lines[0].split(",")
+    if header[0] != "frame_index" or header[1:] != [
+        f"f{i}" for i in range(len(header) - 1)
+    ]:
+        raise DataError(f"{path}:1: malformed header '{lines[0]}'")
+    d = len(header) - 1
+    rows = []
+    prev_index = -1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            raise DataError(
+                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {d + 1})"
+            )
+        try:
+            frame_index = int(cells[0])
+            values = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if frame_index <= prev_index or (prev_index == -1 and frame_index != 0):
+            raise DataError(
+                f"{path}:{lineno}: frame_index must increase strictly from 0"
+            )
+        prev_index = frame_index
+        if not all(np.isfinite(values)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(values)
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: (dtype, shape, bytes) or the error text."""
+    try:
+        out = reader(path)
+    except DataError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+HEADER = b"frame_index,f0,f1\n"
+
+# (name, file bytes): each file is read alike by the bulk parse and the oracle
+EDGE_FILES = [
+    ("clean", HEADER + b"0,1.5,2\n1,3,-4e-3\n"),
+    ("no trailing newline", HEADER + b"0,1.5,2\n1,3,4"),
+    ("blank lines", HEADER + b"\n0,1.5,2\n\n1,3,4\n\n"),
+    ("crlf", HEADER.replace(b"\n", b"\r\n") + b"0,1.5,2\r\n1,3,4\r\n"),
+    ("spaced cells", HEADER + b"0, 1.5 ,2\n 1 ,\t3,4 \n"),
+    ("plus sign index", HEADER + b"+0,1,2\n+1,3,4\n"),
+    ("float index", HEADER + b"0,1,2\n1.0,3,4\n"),
+    ("index gap", HEADER + b"0,1,2\n5,3,4\n"),
+    ("repeated index", HEADER + b"0,1,2\n0,3,4\n"),
+    ("index from 1", HEADER + b"1,1,2\n2,3,4\n"),
+    ("negative index", HEADER + b"-1,1,2\n"),
+    ("decreasing index", HEADER + b"0,1,2\n1,1,2\n2,1,2\n1,1,2\n"),
+    ("word", HEADER + b"0,1,2\n1,abc,2\n"),
+    ("empty cell", HEADER + b"0,,2\n"),
+    ("short row", HEADER + b"0,1,2\n1,3\n"),
+    ("long row", HEADER + b"0,1,2,3\n"),
+    ("trailing comma", HEADER + b"0,1,2,\n"),
+    ("nan", HEADER + b"0,1,2\n1,nan,2\n"),
+    ("-inf", HEADER + b"0,-inf,2\n"),
+    ("overflow", HEADER + b"0,1e400,2\n"),
+    ("nan before a bad index", HEADER + b"0,nan,2\n0,1,2\n"),
+    ("bad index before a word", HEADER + b"1,1,2\n2,x,2\n"),
+    ("header only", HEADER),
+    ("header and blank lines", HEADER + b"\n\n"),
+    ("empty file", b""),
+    ("malformed header", b"frame_index,f1\n0,1\n"),
+    ("comment line", HEADER + b"# note\n0,1,2\n"),
+    ("trailing comment", HEADER + b"0,1,2 # note\n"),
+    ("quoted cell", HEADER + b'0,"1",2\n'),
+    ("hex", HEADER + b"0,0x1,2\n"),
+    ("whitespace-only line", HEADER + b"0,1,2\n   \n1,3,4\n"),
+    ("vertical tab splits lines", HEADER + b"0,1,2\x0b1,3,4\n"),
+    ("no feature columns", b"frame_index\n0\n1\n"),
+]
+
+
+class TestFeatureReader:
+    @pytest.mark.parametrize("name, content", EDGE_FILES, ids=[n for n, _ in EDGE_FILES])
+    def test_same_outcome_as_per_line_reader(self, tmp_path, name, content):
+        path = tmp_path / "u.csv"
+        path.write_bytes(content)
+        assert outcome(features._read_feature_csv, path) == outcome(per_line_reader, path)
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_speakers=2, utt_per_speaker=4, frames_lo=16, frames_hi=32, d=8, seed=1),
+        SynthSpec(n_speakers=2, utt_per_speaker=2, frames_lo=100, frames_hi=300, d=88,
+                  cluster_sep=12.0, seed=1),
+    ], ids=["desk", "reference"])
+    def test_byte_equal_to_per_line_reader(self, tmp_path, spec):
+        save_dataset(synth_dataset(spec), tmp_path)
+        for path in sorted(tmp_path.glob("*.csv")):
+            new, old = features._read_feature_csv(path), per_line_reader(path)
+            assert new.flags.c_contiguous
+            assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
+
+    @pytest.mark.parametrize("row", ["1,1_5,2", "1_0,1,2"])
+    def test_digit_separator_rejected_with_line(self, tmp_path, row):
+        # int() and float() take '1_5'; the bulk parse does not, so neither do we
+        path = tmp_path / "u.csv"
+        path.write_bytes(HEADER + b"0,1,2\n" + row.encode() + b"\n")
+        assert per_line_reader(path).shape == (2, 2)
+        with pytest.raises(DataError, match=rf"^{path}:3: digit separator '_' in '{row}'$"):
+            features._read_feature_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,\u0661,2", "99999999999999999999,1,2"])
+    def test_what_only_python_parses_is_a_data_error(self, tmp_path, row):
+        # non-ASCII digits and an index beyond int64 fail with the bulk
+        # parse's message, never as a raw ValueError
+        path = tmp_path / "u.csv"
+        path.write_text(f"frame_index,f0,f1\n0,1,2\n{row}\n", encoding="utf-8")
+        assert per_line_reader(path).shape == (2, 2)
+        with pytest.raises(DataError, match=rf"^{path}: could not convert"):
+            features._read_feature_csv(path)
+
+    def test_header_only_is_empty_utterance_without_warning(self, tmp_path):
+        (tmp_path / "u.csv").write_bytes(HEADER)
+        write_manifest(
+            tmp_path / "manifest.jsonl",
+            [{"id": "u", "path": "u.csv", "label": "x", "speaker": "a"}],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="empty utterance"):
+                load_dataset(tmp_path / "manifest.jsonl")
 
 
 class TestStandardizer:

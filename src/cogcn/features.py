@@ -126,6 +126,14 @@ class StandardizeStats:
     def d(self) -> int:
         return self.mean.shape[0]
 
+    def check_width(self, d: int) -> None:
+        if self.d != d:
+            raise ValueError(f"standardizer dimension {self.d} does not match dataset d={d}")
+
+    def standardize(self, features: np.ndarray) -> np.ndarray:
+        """One utterance's frames z-scored: ``(features - mean) / std``."""
+        return (features - self.mean) / self.std
+
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
@@ -347,14 +355,8 @@ def fit_standardizer(dataset: Dataset, include_ids) -> StandardizeStats:
 
 def apply_standardizer(dataset: Dataset, stats: StandardizeStats) -> Dataset:
     """Return a copy of the dataset with every frame z-scored by ``stats``."""
-    if stats.d != dataset.d:
-        raise ValueError(
-            f"standardizer dimension {stats.d} does not match dataset d={dataset.d}"
-        )
-    utts = tuple(
-        replace(u, features=(u.features - stats.mean) / stats.std)
-        for u in dataset.utterances
-    )
+    stats.check_width(dataset.d)
+    utts = tuple(replace(u, features=stats.standardize(u.features)) for u in dataset.utterances)
     return Dataset(utts, dataset.d, dataset.class_names)
 
 

@@ -372,22 +372,34 @@ def save_checkpoint(
     reload bit-exactly. ``standardizer`` and ``train_meta`` (e.g. the graph
     kind and threshold used in training) make the file sufficient for
     standalone evaluation.
+
+    The text is ``json.dumps`` of the whole object, but each array is encoded
+    on its own, so only one array's Python floats are alive at a time.
     """
-    obj = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(config),
-        "class_names": list(class_names),
-        "params": {
-            "W_p": None if params.w_pre is None else params.w_pre.tolist(),
-            "b_p": None if params.b_pre is None else params.b_pre.tolist(),
-            "W_e": [w.tolist() for w in params.w_msg],
-            "W_o": params.w_out.tolist(),
-            "b_o": params.b_out.tolist(),
-        },
-        "standardizer": None if standardizer is None else standardizer.to_dict(),
-        "train_meta": train_meta or {},
-    }
-    write_text_atomic(path, json.dumps(obj) + "\n")
+    def array(a):
+        return "null" if a is None else json.dumps(a.tolist())
+
+    params_text = _json_object([
+        ("W_p", array(params.w_pre)),
+        ("b_p", array(params.b_pre)),
+        ("W_e", "[" + ", ".join(array(w) for w in params.w_msg) + "]"),
+        ("W_o", array(params.w_out)),
+        ("b_o", array(params.b_out)),
+    ])
+    text = _json_object([
+        ("format_version", json.dumps(CHECKPOINT_VERSION)),
+        ("config", json.dumps(asdict(config))),
+        ("class_names", json.dumps(list(class_names))),
+        ("params", params_text),
+        ("standardizer", json.dumps(None if standardizer is None else standardizer.to_dict())),
+        ("train_meta", json.dumps(train_meta or {})),
+    ])
+    write_text_atomic(path, text + "\n")
+
+
+def _json_object(items) -> str:
+    """The ``json.dumps`` text of a dict, from its keys and its values' JSON texts."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in items) + "}"
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -237,27 +237,52 @@ class PreparedGraph:
 
 
 def prepare_graphs(
-    dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig
+    dataset: Dataset,
+    gamma: float,
+    graph_kind: str,
+    config: ModelConfig,
+    stats: StandardizeStats | None = None,
 ) -> list[PreparedGraph]:
-    """Build one graph per utterance and cast tensors to the model dtype."""
-    return list(_prepared(dataset, gamma, graph_kind, config))
+    """Build one graph per utterance, every array cast into one block of the model dtype.
+
+    With ``stats`` each utterance is standardized just before its graph is
+    built, as ``apply_standardizer`` would, so no standardized copy of the
+    dataset is kept. All of the call's ``x`` and ``coeffs`` are C-contiguous
+    views into one array, which is freed with the last of them.
+    """
+    size = sum(u.features.size + len(u.features) ** 2 for u in dataset.utterances)
+    block = np.empty(size, dtype=config.np_dtype)
+    graphs, start = [], 0
+    for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config, stats):
+        views = []
+        for value in (x, coeffs):
+            view = block[start : start + value.size].reshape(value.shape)
+            view[...] = value  # cast straight into the block
+            start += value.size
+            views.append(view)
+        graphs.append(PreparedGraph(utt.id, *views, utt.label))
+    return graphs
 
 
 def _prepared(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig):
-    """``prepare_graphs`` one utterance at a time, each graph built when asked for."""
+    """One ``PreparedGraph`` per utterance, each with its own arrays, built when asked for."""
+    dt = config.np_dtype
+    for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config):
+        yield PreparedGraph(utt.id, np.ascontiguousarray(x, dtype=dt),
+                            np.ascontiguousarray(coeffs, dtype=dt), utt.label)
+
+
+def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig,
+                  stats: StandardizeStats | None = None):
+    """Per utterance, in order: it, its (standardized) features and its float64 coefficients."""
     if graph_kind not in GRAPH_KINDS:
         raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
-    dt = config.np_dtype
+    if stats is not None:
+        stats.check_width(dataset.d)
     for utt in dataset.utterances:
-        g = (build_cosine_graph(utt.features, gamma) if graph_kind == "cosine"
-             else build_temporal_graph(utt.features))
-        coeffs = norm_coefficients(g, include_self=config.self_in_aggregation)
-        yield PreparedGraph(
-            id=utt.id,
-            x=np.ascontiguousarray(utt.features, dtype=dt),
-            coeffs=np.ascontiguousarray(coeffs, dtype=dt),
-            label=utt.label,
-        )
+        x = utt.features if stats is None else stats.standardize(utt.features)
+        g = build_cosine_graph(x, gamma) if graph_kind == "cosine" else build_temporal_graph(x)
+        yield utt, x, norm_coefficients(g, include_self=config.self_in_aggregation)
 
 
 def _groups(graphs):
@@ -492,9 +517,11 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     """One cross-validation fold: test on speaker ``fold_index``.
 
     The lexicographically next speaker is held out for validation; the
-    standardizer is fit on the remaining training speakers only. (K, gamma)
-    are selected jointly by best validation UA, keeping the earliest
-    combination in K-major order on ties. The fold's RNG stream is
+    standardizer is fit on the remaining training speakers only; train and
+    validation utterances are standardized one at a time as their graphs are
+    built, and only the test set as a dataset. (K, gamma) are selected
+    jointly by best validation UA, keeping the earliest combination in
+    K-major order on ties. The fold's RNG stream is
     ``tc.seed`` XOR ``fold_index``, so folds are independent and may run in
     parallel with results identical to serial execution.
     """
@@ -507,10 +534,8 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
 
     train_ids = [u.id for u in dataset.utterances if u.speaker in set(train_speakers)]
     stats = fit_standardizer(dataset, train_ids)
-    ds_std = apply_standardizer(dataset, stats)
-    ds_train = ds_std.subset_speakers(train_speakers)
-    ds_val = ds_std.subset_speakers([val_speaker])
-    ds_test = ds_std.subset_speakers([test_speaker])
+    ds_train = dataset.subset_speakers(train_speakers)
+    ds_val = dataset.subset_speakers([val_speaker])
 
     fold_seed = tc.seed ^ fold_index
     gammas = tc.gamma_grid if tc.graph_kind == "cosine" else (tc.gamma_grid[0],)
@@ -519,8 +544,8 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     # rank keeps the K-major rule: best validation UA, earliest (K, gamma)
     best = None
     for gi, gamma in enumerate(gammas):
-        p_train = prepare_graphs(ds_train, gamma, tc.graph_kind, tc.model)
-        p_val = prepare_graphs(ds_val, gamma, tc.graph_kind, tc.model)
+        p_train = prepare_graphs(ds_train, gamma, tc.graph_kind, tc.model, stats)
+        p_val = prepare_graphs(ds_val, gamma, tc.graph_kind, tc.model, stats)
         for ki, k in enumerate(tc.k_grid):
             config_k = replace(tc.model, num_layers=int(k))
             tc_run = replace(tc, model=config_k, seed=fold_seed)
@@ -532,6 +557,7 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
         del p_train, p_val
 
     (score, _, _), sel_k, sel_gamma, params, history, epoch_idx, config_k = best
+    ds_test = apply_standardizer(dataset.subset_speakers([test_speaker]), stats)
     test_metrics = evaluate(params, config_k, ds_test, sel_gamma, tc.graph_kind)
     return FoldResult(
         speaker=test_speaker,

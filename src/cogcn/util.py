@@ -23,8 +23,15 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and atomic rename."""
+    """Write ``text`` to ``path`` via a temp file and atomic rename.
+
+    If the write fails, the temp file is removed and ``path`` is left as it was.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -5,7 +5,9 @@ at every `training.adam_step` call, so a rename or an inlined optimizer step
 would silently change what it measures. Its per-layer forward and backward
 figures assume one padded call per length group, not one per graph. Its per-layer counts of
 `prepare_graphs` and `train` calls, and the fold's peak memory, follow from
-the fold loop's shape, which is pinned here too. Its graph-building figures
+the fold loop's shape, which is pinned here too, and so are the two things
+that keep a fold to one copy of the corpus: one block per `prepare_graphs`
+call, and `apply_standardizer` on the test set only. Its graph-building figures
 and node counts come from one graph builder and one `norm_coefficients` call
 per utterance.
 """
@@ -19,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from cogcn import (ModelConfig, SynthSpec, TrainConfig, init_params, prepare_graphs,
-                   synth_dataset, train)
+from cogcn import (ModelConfig, SynthSpec, TrainConfig, fit_standardizer, init_params,
+                   prepare_graphs, synth_dataset, train)
 from cogcn import training
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -181,3 +183,42 @@ def test_prepare_graphs_builds_each_graph_once(monkeypatch, graph_kind):
     n = len(dataset.utterances)
     assert len(graphs) == n == 6
     assert calls == [f"build_{graph_kind}_graph", "norm_coefficients"] * n
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_prepare_graphs_fills_one_block(dtype):
+    # one allocation per call, freed with the call's graphs: the fold's peak
+    # memory is one gamma's block, not a heap of per-graph arrays
+    dataset = synth_dataset(SynthSpec(n_classes=2, n_speakers=2, utt_per_speaker=3,
+                                      frames_lo=3, frames_hi=5, d=4, seed=0))
+    config = ModelConfig(in_dim=4, num_classes=2, dtype=dtype)
+    stats = fit_standardizer(dataset, dataset.ids)
+    graphs = prepare_graphs(dataset, 0.5, "cosine", config, stats=stats)
+    block = graphs[0].x.base
+    assert block is not None and block.dtype == config.np_dtype
+    assert block.size == sum(pg.x.size + pg.coeffs.size for pg in graphs)
+    for pg in graphs:
+        for array in (pg.x, pg.coeffs):
+            assert array.base is block
+            assert array.flags.c_contiguous and array.dtype == config.np_dtype
+
+
+def test_run_fold_standardizes_only_the_test_set_as_a_dataset(monkeypatch):
+    # train and validation graphs standardize one utterance at a time inside
+    # prepare_graphs; no standardized copy of the whole corpus is made
+    dataset = synth_dataset(SynthSpec(n_classes=2, n_speakers=3, utt_per_speaker=4,
+                                      frames_lo=3, frames_hi=5, d=4, seed=0))
+    tc = TrainConfig(model=ModelConfig(in_dim=4, hidden_dim=4, num_classes=2),
+                     epochs=1, k_grid=(1,), gamma_grid=(0.5, 0.6))
+    seen = []
+    standardize = training.apply_standardizer
+
+    def recorded(ds, stats):
+        seen.append([u.id for u in ds.utterances])
+        return standardize(ds, stats)
+
+    monkeypatch.setattr(training, "apply_standardizer", recorded)
+    for fold, speaker in enumerate(dataset.speakers):
+        seen.clear()
+        training.run_fold(dataset, tc, fold)
+        assert seen == [[u.id for u in dataset.utterances if u.speaker == speaker]]

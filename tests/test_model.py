@@ -443,3 +443,56 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.json", ckpt.params, ckpt.config, ckpt.class_names,
                         standardizer=ckpt.standardizer, train_meta=ckpt.train_meta)
         assert (tmp_path / "m.json").read_bytes() == PARENT_CHECKPOINT.read_bytes()
+
+
+def one_shot_checkpoint_text(params, config, class_names, standardizer=None, train_meta=None):
+    """The whole checkpoint as one object through one ``json.dumps``; the byte oracle."""
+    import json
+    from dataclasses import asdict
+
+    obj = {
+        "format_version": 1,
+        "config": asdict(config),
+        "class_names": list(class_names),
+        "params": {
+            "W_p": None if params.w_pre is None else params.w_pre.tolist(),
+            "b_p": None if params.b_pre is None else params.b_pre.tolist(),
+            "W_e": [w.tolist() for w in params.w_msg],
+            "W_o": params.w_out.tolist(),
+            "b_o": params.b_out.tolist(),
+        },
+        "standardizer": None if standardizer is None else standardizer.to_dict(),
+        "train_meta": train_meta or {},
+    }
+    return json.dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize("with_stats", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("use_pre", [True, False])
+def test_checkpoint_matches_one_shot_encoder_bytewise(tmp_path, use_pre, k, dtype, with_stats):
+    from cogcn import StandardizeStats
+
+    cfg = ModelConfig(in_dim=5, hidden_dim=6, num_layers=k, num_classes=3, use_pre=use_pre,
+                      dtype=dtype)
+    params = init_params(cfg, k)
+    params.b_out[...] = [0.25, -1e-300 if dtype == "float64" else -1e-30, 3.0]
+    rng = np.random.default_rng(k)
+    stats = (StandardizeStats(rng.standard_normal(5), rng.random(5) + 0.5) if with_stats
+             else None)
+    meta = {"gamma": 0.55, "graph_kind": "cosine", "note": "café"} if with_stats else None
+    names = ("neu", "häppy", 'say "hi"')
+    path = tmp_path / "m.json"
+    save_checkpoint(path, params, cfg, names, standardizer=stats, train_meta=meta)
+    expected = one_shot_checkpoint_text(params, cfg, names, stats, meta)
+    assert path.read_bytes() == expected.encode("utf-8")
+    ckpt = load_checkpoint(path)
+    assert ckpt.config == cfg and ckpt.class_names == names
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert ckpt.train_meta == (meta or {})
+    if with_stats:
+        assert ckpt.standardizer.mean.tobytes() == stats.mean.tobytes()
+        assert ckpt.standardizer.std.tobytes() == stats.std.tobytes()
+    else:
+        assert ckpt.standardizer is None

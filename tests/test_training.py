@@ -16,6 +16,7 @@ from cogcn import (
     apply_standardizer,
     backward,
     best_epoch,
+    build_cosine_graph,
     build_temporal_graph,
     cross_entropy_from_logits,
     evaluate,
@@ -25,6 +26,7 @@ from cogcn import (
     init_params,
     loso_cv,
     metrics_from_confusion,
+    norm_coefficients,
     param_count,
     param_layout,
     prepare_graphs,
@@ -356,6 +358,53 @@ class TestTrainLoop:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == history[0].train_loss
+
+
+def old_prepare_graphs(std_ds, gamma, graph_kind, config):
+    """The path before per-utterance standardization: a standardized dataset in,
+    one pair of freshly cast arrays per graph out; kept as the byte oracle."""
+    dt = config.np_dtype
+    out = []
+    for utt in std_ds.utterances:
+        g = (build_cosine_graph(utt.features, gamma) if graph_kind == "cosine"
+             else build_temporal_graph(utt.features))
+        coeffs = norm_coefficients(g, include_self=config.self_in_aggregation)
+        out.append((utt.id, np.ascontiguousarray(utt.features, dtype=dt),
+                    np.ascontiguousarray(coeffs, dtype=dt), utt.label))
+    return out
+
+
+class TestPrepareGraphs:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("graph_kind", ["cosine", "temporal"])
+    def test_stats_path_matches_standardized_dataset_bytewise(self, graph_kind, dtype):
+        ds = small_corpus(noise=0.3, sep=3.0)
+        stats = fit_standardizer(ds, [u.id for u in ds.utterances if u.speaker != "spk03"])
+        cfg = ModelConfig(in_dim=6, hidden_dim=8, num_classes=4, dtype=dtype)
+        std = apply_standardizer(ds, stats)
+        expected = old_prepare_graphs(std, 0.55, graph_kind, cfg)
+        for got in (prepare_graphs(ds, 0.55, graph_kind, cfg, stats=stats),
+                    prepare_graphs(std, 0.55, graph_kind, cfg)):
+            assert len(got) == len(expected) == len(ds.utterances)
+            for pg, (uid, x, coeffs, label) in zip(got, expected):
+                assert (pg.id, pg.label) == (uid, label)
+                assert pg.x.dtype == x.dtype and pg.x.shape == x.shape
+                assert pg.coeffs.dtype == coeffs.dtype and pg.coeffs.shape == coeffs.shape
+                assert pg.x.tobytes() == x.tobytes()
+                assert pg.coeffs.tobytes() == coeffs.tobytes()
+
+    def test_stats_width_mismatch_raises_like_apply_standardizer(self):
+        from cogcn import StandardizeStats
+
+        ds = small_corpus()
+        stats = StandardizeStats(np.zeros(ds.d + 1), np.ones(ds.d + 1))
+        cfg = ModelConfig(in_dim=6, hidden_dim=8, num_classes=4)
+        with pytest.raises(ValueError) as expected:
+            apply_standardizer(ds, stats)
+        with pytest.raises(ValueError) as got:
+            prepare_graphs(ds, 0.5, "cosine", cfg, stats=stats)
+        assert str(got.value) == str(expected.value)
+        assert "standardizer dimension 7 does not match dataset d=6" in str(got.value)
 
 
 class TestEvaluate:

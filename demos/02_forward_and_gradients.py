@@ -10,7 +10,8 @@ ground truth for its correctness.
 
 import numpy as np
 
-from cogcn import ModelConfig, build_cosine_graph, forward, init_params
+from cogcn import (ModelConfig, build_cosine_graph, forward_arrays, init_params,
+                   norm_coefficients)
 from cogcn.gradcheck import run_gradcheck
 
 rng = np.random.default_rng(0)
@@ -23,18 +24,24 @@ x = rng.standard_normal((5, 6))
 graph = build_cosine_graph(x, gamma=0.4)
 print(f"graph: {graph.n_nodes} nodes, {len(graph.edges())} edges")
 
-logits, probs, cache = forward(params, config, graph, mode="eval")
+# one graph runs as a group of one: x[None] and coeffs[None], results at [0]
+coeffs = norm_coefficients(graph, include_self=config.self_in_aggregation)
+logits, probs, cache = forward_arrays(params, config, x[None], coeffs[None], mode="eval")
+probs = probs[0]
 print("\nstage shapes:")
-print("  h0 (pre-layer)   ", cache.hs[0].shape)
+print("  h0 (pre-layer)   ", cache.hs[0][0].shape)
 for k in range(config.num_layers):
-    print(f"  h{k + 1} (mp layer {k}, skip={cache.skips[k]})", cache.hs[k + 1].shape)
-print("  readout          ", cache.h_graph.shape)
+    print(f"  h{k + 1} (mp layer {k}, skip={cache.skips[k]})", cache.hs[k + 1][0].shape)
+print("  readout          ", cache.h_graph[0].shape)
 print("  probs            ", np.round(probs, 4), "sum", probs.sum())
 
 # Permutation invariance: shuffling node order leaves the prediction alone.
 perm = rng.permutation(graph.n_nodes)
-_, probs_perm, _ = forward(params, config, build_cosine_graph(x[perm], 0.4),
-                           mode="eval")
+coeffs_perm = norm_coefficients(build_cosine_graph(x[perm], 0.4),
+                                include_self=config.self_in_aggregation)
+_, probs_perm, _ = forward_arrays(params, config, x[perm][None], coeffs_perm[None],
+                                  mode="eval")
+probs_perm = probs_perm[0]
 print("\nmax prob change under node permutation:",
       f"{np.max(np.abs(probs - probs_perm)):.2e}")
 

@@ -35,7 +35,6 @@ from .model import (
     ForwardCache,
     ModelConfig,
     ModelParams,
-    forward,
     forward_arrays,
     init_params,
     load_checkpoint,

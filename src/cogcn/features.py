@@ -138,11 +138,14 @@ class StandardizeStats:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @staticmethod
-    def from_dict(obj: dict) -> "StandardizeStats":
-        return StandardizeStats(
-            np.asarray(obj["mean"], dtype=np.float64),
-            np.asarray(obj["std"], dtype=np.float64),
-        )
+    def from_dict(obj: dict, d: int) -> "StandardizeStats":
+        """Read ``to_dict``'s output; mean and std must be (d,) and finite, std > 0."""
+        mean, std = (np.asarray(obj[key], dtype=np.float64) for key in ("mean", "std"))
+        if mean.shape != (d,) or std.shape != (d,):
+            raise ValueError(f"standardizer mean {mean.shape} and std {std.shape}, need ({d},)")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
+            raise ValueError("standardizer mean and std must be finite, with std > 0")
+        return StandardizeStats(mean, std)
 
 
 # ---------------------------------------------------------------------------

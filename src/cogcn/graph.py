@@ -21,15 +21,14 @@ from .util import write_text_atomic
 
 @dataclass(frozen=True)
 class Graph:
-    """Node features plus a symmetric, self-loop-free boolean adjacency."""
+    """A symmetric, self-loop-free boolean adjacency and its degree terms."""
 
-    features: np.ndarray  # (n, d) float64
     adjacency: np.ndarray  # (n, n) bool, zero diagonal
     degree_hat: np.ndarray  # (n,) float64, 1 + neighbour count
 
     @property
     def n_nodes(self) -> int:
-        return self.features.shape[0]
+        return self.adjacency.shape[0]
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, ascending (i, j) with i < j."""
@@ -90,14 +89,14 @@ def build_cosine_graph(x, gamma: float) -> Graph:
     x = _as_feature_matrix(x)
     adjacency = _raw_cosine(x)[1] >= gamma
     np.fill_diagonal(adjacency, False)
-    return Graph(x, adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
+    return Graph(adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
 
 
 def build_temporal_graph(x) -> Graph:
     """Chain graph: frame i is connected to frames i-1 and i+1."""
     x = _as_feature_matrix(x)
     adjacency = np.eye(len(x), k=1, dtype=bool) | np.eye(len(x), k=-1, dtype=bool)
-    return Graph(x, adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
+    return Graph(adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
 
 
 def norm_coefficients(g: Graph, include_self: bool = True) -> np.ndarray:

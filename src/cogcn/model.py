@@ -16,15 +16,14 @@ cache retains every intermediate needed for exact reverse-mode gradients
 (see ``training.backward``). Every learnable array is a view into one flat
 vector laid out by ``param_layout``.
 
-The same code runs one graph, ``x`` (n, d) and ``coeffs`` (n, n), or a group
-of graphs, ``x`` (B, N, d) and ``coeffs`` (B, N, N). Training passes groups
-only: a graph alone is an unpadded group of one, and several graphs are
-zero-padded to the longest, with the true lengths in ``n_nodes``. Every
-product acts on the last two axes, and padding rows are zeroed once after
-the pre-layer and stay zero in every layer. The padding adds only exact
-zeros to each graph's sums, so a graph gets the bits of its own call
-wherever BLAS sums in an order that does not depend on the padded length
-(see tests/test_batching.py).
+Every input is a group of graphs, ``x`` (B, N, d) with ``coeffs`` (B, N, N);
+one graph is a group of one, ``x[None]`` with ``coeffs[None]``. A group of
+several is zero-padded to its longest graph, with the true lengths in
+``n_nodes``; a group without ``n_nodes`` is unpadded. Every product acts on
+the last two axes, and padding rows are zeroed once after the pre-layer and
+stay zero in every layer. The padding adds only exact zeros to each graph's
+sums, so a graph gets the bits of its own call wherever BLAS sums in an order
+that does not depend on the padded length (see tests/test_batching.py).
 
 Training passes a ``Workspace``, so that every node-sized intermediate goes
 into a reused array with ``out=``; without one numpy allocates.
@@ -41,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from .features import DataError, StandardizeStats
-from .graph import Graph, norm_coefficients
 from .util import substream, write_text_atomic
 
 CHECKPOINT_VERSION = 1
@@ -153,7 +151,7 @@ class ForwardCache:
     x: np.ndarray
     coeffs: np.ndarray
     counts: np.ndarray | int  # node count(s) the readout divides by
-    node_mask: np.ndarray | None  # (B, N, 1) 1 for real nodes, 0 for padding; None for one graph
+    node_mask: np.ndarray | None  # (B, N, 1) 1 for real nodes, 0 for padding; None unpadded
     pre_act: np.ndarray | None  # pre-layer pre-activation, None when pre is off
     hs: list  # h_0 .. h_K
     aggs: list  # coeffs @ h_k per layer
@@ -224,6 +222,13 @@ def sample_dropout_mask(
 # full forward
 
 
+def check_group(x: np.ndarray, coeffs: np.ndarray) -> None:
+    """Reject anything but a group: ``x`` (B, N, d) with ``coeffs`` (B, N, N)."""
+    if x.ndim != 3 or coeffs.shape != x.shape[:2] + x.shape[1:2]:
+        raise ValueError(f"expected a group, x (B, N, d) with coeffs (B, N, N); "
+                         f"got x {x.shape} and coeffs {coeffs.shape}")
+
+
 def forward_arrays(
     params: ModelParams,
     config: ModelConfig,
@@ -234,25 +239,30 @@ def forward_arrays(
     n_nodes: np.ndarray | None = None,
     workspace=None,
 ):
-    """Forward pass on pre-extracted node features and aggregation coefficients.
+    """Forward pass on a group of graphs: ``x`` (B, N, d), ``coeffs`` (B, N, N).
 
-    Takes one graph, or a group with its node counts in ``n_nodes`` if it is
-    zero-padded (see the module docstring). Returns (logits, probs, cache),
-    with a leading group axis for a group. Train mode applies
-    ``dropout_mask``, one row per graph of a group, which the caller draws
-    with ``sample_dropout_mask``. With a ``workspace`` the node-sized
-    intermediates are written into its arrays, so the cache is valid only
-    until the next call with that workspace.
+    A zero-padded group gives its node counts in ``n_nodes`` (B,); see the
+    module docstring. Returns (logits, probs, cache), each with a leading
+    group axis. Train mode applies ``dropout_mask`` (B, z), one row per
+    graph, which the caller draws with ``sample_dropout_mask``. With a
+    ``workspace`` the node-sized intermediates are written into its arrays,
+    so the cache is valid only until the next call with that workspace.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got '{mode}'")
-    if mode == "train" and dropout_mask is None:
-        raise ValueError("train mode needs a dropout mask: sample_dropout_mask(config, rng)")
     dt = config.np_dtype
     x = np.ascontiguousarray(x, dtype=dt)
     coeffs = np.ascontiguousarray(coeffs, dtype=dt)
+    check_group(x, coeffs)
     if x.shape[-1] != config.in_dim:
         raise ValueError(f"input width {x.shape[-1]} != config.in_dim {config.in_dim}")
+    b = len(x)
+    if mode == "train" and np.shape(dropout_mask) != (b, config.hidden_dim):
+        got = None if dropout_mask is None else np.shape(dropout_mask)
+        raise ValueError(f"train mode needs a ({b}, {config.hidden_dim}) dropout mask, one row "
+                         f"per graph: sample_dropout_mask(config, rng, ({b},)); got {got}")
+    if n_nodes is not None and np.shape(n_nodes) != (b,):
+        raise ValueError(f"n_nodes {np.shape(n_nodes)} for {b} graphs, needs ({b},)")
     if n_nodes is None:
         counts, node_mask = x.shape[-2], None
     else:
@@ -320,20 +330,6 @@ def forward_arrays(
         mode=mode,
     )
     return logits, probs, cache
-
-
-def forward(
-    params: ModelParams,
-    config: ModelConfig,
-    graph: Graph,
-    mode: str = "eval",
-    dropout_mask: np.ndarray | None = None,
-):
-    """Full pipeline on a Graph; see ``forward_arrays`` for the return value."""
-    coeffs = norm_coefficients(graph, include_self=config.self_in_aggregation)
-    return forward_arrays(
-        params, config, graph.features, coeffs, mode=mode, dropout_mask=dropout_mask
-    )
 
 
 def param_count(config: ModelConfig) -> int:
@@ -417,12 +413,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         config = ModelConfig(**obj["config"])
         params = _params_from_json(obj["params"], config)
-        standardizer = (
-            None
-            if obj.get("standardizer") is None
-            else StandardizeStats.from_dict(obj["standardizer"])
-        )
+        stats = obj.get("standardizer")
+        standardizer = None if stats is None else StandardizeStats.from_dict(stats, config.in_dim)
         class_names = tuple(obj["class_names"])
+        if len(class_names) != config.num_classes:
+            raise ValueError(f"{len(class_names)} class names for {config.num_classes} classes")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(

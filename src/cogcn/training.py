@@ -23,8 +23,8 @@ import numpy as np
 
 from .features import Dataset, StandardizeStats, apply_standardizer, fit_standardizer
 from .graph import build_cosine_graph, build_temporal_graph, norm_coefficients
-from .model import (ForwardCache, ModelConfig, ModelParams, forward_arrays, init_params,
-                    Workspace, param_count, sample_dropout_mask)
+from .model import (ForwardCache, ModelConfig, ModelParams, check_group, forward_arrays,
+                    init_params, Workspace, param_count, sample_dropout_mask)
 from .util import substream, write_text_atomic
 
 GRAPH_KINDS = ("cosine", "temporal")
@@ -103,13 +103,14 @@ def backward(
 
     Follows every path: head, dropout mask, mean readout, skip connections,
     the shared aggregation coefficients, and the optional pre-layer. Requires
-    a train-mode cache from ``forward`` on the same parameters. For a group's
-    cache ``label`` holds one label per graph, and the result holds one
-    gradient row per graph: ``flat`` has shape (B, size), valid until the next
-    call with the same ``workspace`` if one is given.
+    a train-mode cache from ``forward_arrays`` on the same parameters, for a
+    group of B graphs. ``label`` holds one label per graph, and the result
+    holds one gradient row per graph: ``flat`` has shape (B, size), valid
+    until the next call with the same ``workspace`` if one is given.
     """
     if cache.mode != "train":
         raise ValueError("backward requires a train-mode forward cache")
+    check_group(cache.x, cache.coeffs)
     if len(cache.mp_preacts) != config.num_layers:
         raise ValueError("cache does not match config (layer count differs)")
     labels = np.asarray(label)
@@ -264,14 +265,6 @@ def prepare_graphs(
     return graphs
 
 
-def _prepared(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig):
-    """One ``PreparedGraph`` per utterance, each with its own arrays, built when asked for."""
-    dt = config.np_dtype
-    for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config):
-        yield PreparedGraph(utt.id, np.ascontiguousarray(x, dtype=dt),
-                            np.ascontiguousarray(coeffs, dtype=dt), utt.label)
-
-
 def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig,
                   stats: StandardizeStats | None = None):
     """Per utterance, in order: it, its (standardized) features and its float64 coefficients."""
@@ -346,8 +339,11 @@ def evaluate(
     """
     if not dataset.utterances:
         raise ValueError("empty dataset")
-    prepared = _prepared(dataset, gamma, graph_kind, config)
-    return _evaluate_groups(params, config, _groups(prepared))
+    dt = config.np_dtype
+    graphs = (PreparedGraph(utt.id, np.ascontiguousarray(x, dtype=dt),
+                            np.ascontiguousarray(coeffs, dtype=dt), utt.label)
+              for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config))
+    return _evaluate_groups(params, config, _groups(graphs))
 
 
 # ---------------------------------------------------------------------------

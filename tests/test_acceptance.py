@@ -18,8 +18,9 @@ from cogcn import (
     TrainConfig,
     build_cosine_graph,
     cosine_similarity_matrix,
-    forward,
+    forward_arrays,
     init_params,
+    norm_coefficients,
     loso_cv,
     param_count,
     prepare_graphs,
@@ -73,12 +74,14 @@ def test_criterion_2_permutation_invariance():
         n = int(rng.integers(2, 10))
         x = rng.standard_normal((n, 5))
         gamma = float(rng.uniform(0.2, 0.7))
-        _, probs, _ = forward(params, cfg, build_cosine_graph(x, gamma), mode="eval")
+        coeffs = norm_coefficients(build_cosine_graph(x, gamma),
+                                   include_self=cfg.self_in_aggregation)
+        _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         perm = rng.permutation(n)
-        _, probs_p, _ = forward(
-            params, cfg, build_cosine_graph(x[perm], gamma), mode="eval"
-        )
-        worst = max(worst, float(np.max(np.abs(probs - probs_p))))
+        coeffs_p = norm_coefficients(build_cosine_graph(x[perm], gamma),
+                                     include_self=cfg.self_in_aggregation)
+        _, probs_p, _ = forward_arrays(params, cfg, x[perm][None], coeffs_p[None], mode="eval")
+        worst = max(worst, float(np.max(np.abs(probs[0] - probs_p[0]))))
     _report(
         "criterion 2 (permutation invariance)",
         worst < PERMUTATION_TOL,

@@ -95,13 +95,13 @@ def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg):
             assert not np.any(h[b, n:]), "a padding row is not exactly 0"
     for b, pg in enumerate(graphs):
         one_logits, one_probs, one_cache = forward_arrays(
-            params, config, pg.x, pg.coeffs, "train", dropout_mask=masks[b])
-        _assert_same(logits[b], one_logits, config)
-        _assert_same(probs[b], one_probs, config)
-        one_row = backward(params, config, one_cache, pg.label).flat
+            params, config, pg.x[None], pg.coeffs[None], "train", dropout_mask=masks[b][None])
+        _assert_same(logits[b], one_logits[0], config)
+        _assert_same(probs[b], one_probs[0], config)
+        one_row = backward(params, config, one_cache, [pg.label]).flat[0]
         _assert_same(rows.flat[b], one_row, config, bits=False)
         if config.dtype == "float64" or config.use_pre:
-            assert losses[b] == cross_entropy_from_logits([one_logits], [pg.label])[0]
+            assert losses[b] == cross_entropy_from_logits(one_logits, [pg.label])[0]
 
 
 @pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
@@ -117,11 +117,11 @@ def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip
     expected = ModelParams(config)
     for b, pg in enumerate(graphs):
         mask = sample_dropout_mask(config, rng)
-        logits, _, cache = forward_arrays(params, config, pg.x, pg.coeffs, "train",
-                                          dropout_mask=mask)
+        logits, _, cache = forward_arrays(params, config, pg.x[None], pg.coeffs[None], "train",
+                                          dropout_mask=mask[None])
         if config.dtype == "float64" or config.use_pre:
-            assert losses[b] == cross_entropy_from_logits([logits], [pg.label])[0]
-        expected.flat += backward(params, config, cache, pg.label).flat
+            assert losses[b] == cross_entropy_from_logits(logits, [pg.label])[0]
+        expected.flat += backward(params, config, cache, [pg.label]).flat[0]
     expected.flat *= 1.0 / len(graphs)
     _assert_same(grads.flat, expected.flat, config)
 
@@ -201,9 +201,9 @@ def test_single_graph_backward_matches_finite_differences(use_pre, use_skip, sel
     mask = sample_dropout_mask(config, np.random.default_rng(7))
     instance = GradcheckInstance(config, _params(config, 8), pg.x, pg.coeffs, pg.label,
                                  mask, "cosine")
-    _, _, cache = forward_arrays(instance.params, config, pg.x, pg.coeffs, "train",
-                                 dropout_mask=mask)
-    analytic = backward(instance.params, config, cache, pg.label)
+    _, _, cache = forward_arrays(instance.params, config, pg.x[None], pg.coeffs[None], "train",
+                                 dropout_mask=mask[None])
+    analytic = ModelParams(config, backward(instance.params, config, cache, [pg.label]).flat[0])
     err, name = max_relative_error(analytic, finite_difference_grads(instance))
     assert err < 1e-4, name
 

@@ -216,6 +216,7 @@ class TestEval:
 
     @pytest.mark.parametrize("fault", [
         "missing", "invalid_json", "bad_version", "truncated_w_e", "w_e_count",
+        "standardizer_narrow", "standardizer_wide", "zero_std", "nan_mean", "inf_std",
     ])
     def test_bad_checkpoint_is_data_error(self, tmp_path, data_dir, trained, fault, capsys):
         good = json.loads((trained / "fold_spk00.json").read_text())
@@ -230,11 +231,33 @@ class TestEval:
         elif fault == "w_e_count":
             good["params"]["W_e"].append(good["params"]["W_e"][-1])
             ckpt.write_text(json.dumps(good))
+        elif fault != "missing":  # the standardizer does not fit the model
+            mean, std = good["standardizer"]["mean"], good["standardizer"]["std"]
+            stats = {
+                "standardizer_narrow": {"mean": mean[:-1], "std": std[:-1]},
+                "standardizer_wide": {"mean": mean + [0.0], "std": std + [1.0]},
+                "zero_std": {"mean": mean, "std": [0.0] * len(std)},
+                "nan_mean": {"mean": [float("nan")] + mean[1:], "std": std},
+                "inf_std": {"mean": mean, "std": [float("inf")] + std[1:]},
+            }[fault]
+            ckpt.write_text(json.dumps({**good, "standardizer": stats}))
         code = run(["eval", "--ckpt", ckpt, "--data", data_dir, "--speaker", "spk01"])
         assert code == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err
         assert "Traceback" not in err
+
+    def test_extra_class_name_is_data_error(self, tmp_path, trained, capsys):
+        # a 4-class checkpoint that names a fifth class, on a 5-class corpus
+        ckpt = tmp_path / "five_names.json"
+        good = json.loads((trained / "fold_spk00.json").read_text())
+        ckpt.write_text(json.dumps({**good, "class_names": good["class_names"] + ["class04"]}))
+        other = tmp_path / "five"
+        assert run(["synth", "--classes", 5, "--speakers", 2, "--utts", 5,
+                    "--dim", 6, "--frames-lo", 4, "--frames-hi", 8, "-o", other]) == 0
+        assert run(["eval", "--ckpt", ckpt, "--data", other]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "class names" in err
 
     def test_dimension_mismatch(self, tmp_path, trained):
         other = tmp_path / "otherd"

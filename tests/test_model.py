@@ -2,6 +2,7 @@
 accounting, checkpoints."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from cogcn import (
     ModelConfig,
     ModelParams,
+    backward,
     build_cosine_graph,
     build_temporal_graph,
-    forward,
     forward_arrays,
     init_params,
     load_checkpoint,
@@ -47,9 +48,9 @@ def identity_params(d, k, c, use_pre=True, use_skip=True):
 
 
 def hidden_states(cfg, params, x, coeffs):
-    """Eval-mode forward on explicit coefficients; returns the cache."""
-    _, _, cache = forward_arrays(params, cfg, np.asarray(x, dtype=float),
-                                 np.asarray(coeffs, dtype=float))
+    """Eval-mode forward on explicit coefficients, as a group of one; returns the cache."""
+    _, _, cache = forward_arrays(params, cfg, np.asarray(x, dtype=float)[None],
+                                 np.asarray(coeffs, dtype=float)[None])
     return cache
 
 
@@ -139,12 +140,12 @@ class TestStages:
     def test_pre_layer_relu_identity(self):
         cfg, params = identity_params(2, 1, 2)
         cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
-        np.testing.assert_array_equal(cache.hs[0], [[1.0, 0.0]])
+        np.testing.assert_array_equal(cache.hs[0][0], [[1.0, 0.0]])
 
     def test_pre_layer_zero_input(self):
         cfg, params = identity_params(2, 1, 2)
         cache = hidden_states(cfg, params, np.zeros((1, 2)), [[1.0]])
-        np.testing.assert_array_equal(cache.hs[0], [[0.0, 0.0]])
+        np.testing.assert_array_equal(cache.hs[0][0], [[0.0, 0.0]])
 
     def test_pre_layer_negative_bias(self):
         cfg = ModelConfig(in_dim=2, hidden_dim=1, num_layers=1, num_classes=2,
@@ -153,18 +154,18 @@ class TestStages:
         params.w_pre[...] = [[1.0, 1.0]]
         params.b_pre[...] = [-3.0]
         cache = hidden_states(cfg, params, [[1.0, 1.0]], [[1.0]])
-        np.testing.assert_array_equal(cache.hs[0], [[0.0]])
+        np.testing.assert_array_equal(cache.hs[0][0], [[0.0]])
 
     def test_mp_layer_single_node_is_identity_then_relu(self):
         cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
         cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
-        np.testing.assert_array_equal(cache.hs[1], [[1.0, 0.0]])
+        np.testing.assert_array_equal(cache.hs[1][0], [[1.0, 0.0]])
 
     def test_mp_layer_two_connected_nodes_average(self):
         cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
         coeffs = np.full((2, 2), 0.5)  # both degree_hat = 2
         cache = hidden_states(cfg, params, [[2.0, 0.0], [0.0, 2.0]], coeffs)
-        np.testing.assert_array_equal(cache.hs[1], np.ones((2, 2)))
+        np.testing.assert_array_equal(cache.hs[1][0], np.ones((2, 2)))
 
     def test_mp_layer_isolated_node_sees_only_itself(self):
         # node 1 is isolated: its output must equal relu(W h_1)
@@ -174,36 +175,37 @@ class TestStages:
         cfg = ModelConfig(in_dim=2, hidden_dim=2, num_layers=1, num_classes=2,
                           use_pre=False, use_skip=False, dtype="float64")
         params = init_params(cfg, 0)
-        _, _, cache = forward(params, cfg, g, mode="eval")
+        coeffs = norm_coefficients(g, include_self=cfg.self_in_aggregation)
+        _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         w = params.w_msg[0]
-        np.testing.assert_allclose(cache.hs[1][1], np.maximum(w @ x[1], 0.0), atol=1e-15)
+        np.testing.assert_allclose(cache.hs[1][0][1], np.maximum(w @ x[1], 0.0), atol=1e-15)
 
     def test_apply_skip(self):
         # relu(I [1, -2]) + [1, -2]
         cfg, params = identity_params(2, 1, 2, use_pre=False)
         cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
         assert cache.skips == [True]
-        np.testing.assert_array_equal(cache.hs[1], [[2.0, -2.0]])
+        np.testing.assert_array_equal(cache.hs[1][0], [[2.0, -2.0]])
 
     def test_apply_skip_zero_update(self):
         cfg, params = identity_params(2, 1, 2, use_pre=False)
         params.w_msg[0][...] = 0.0
         h = np.array([[3.0, -1.0]])
         cache = hidden_states(cfg, params, h, [[1.0]])
-        np.testing.assert_array_equal(cache.hs[1], h)
+        np.testing.assert_array_equal(cache.hs[1][0], h)
 
     def test_readout_mean(self):
         cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
         cache = hidden_states(cfg, params, [[1.0, 2.0], [3.0, 4.0]], np.eye(2))
-        np.testing.assert_array_equal(cache.h_graph, [2.0, 3.0])
+        np.testing.assert_array_equal(cache.h_graph[0], [2.0, 3.0])
 
     def test_readout_constant_rows(self):
         cfg = config64()
         params = init_params(cfg, 4)
         x = np.tile([5.0, -1.0, 0.5, 2.0], (4, 1))
         cache = hidden_states(cfg, params, x, np.full((4, 4), 0.25))
-        np.testing.assert_array_equal(cache.hs[-1], np.tile(cache.hs[-1][0], (4, 1)))
-        np.testing.assert_allclose(cache.h_graph, cache.hs[-1][0], atol=1e-15)
+        np.testing.assert_array_equal(cache.hs[-1][0], np.tile(cache.hs[-1][0][0], (4, 1)))
+        np.testing.assert_allclose(cache.h_graph[0], cache.hs[-1][0][0], atol=1e-15)
 
     def test_readout_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -214,7 +216,7 @@ class TestStages:
         perm = rng.permutation(6)
         a = hidden_states(cfg, params, x, coeffs)
         b = hidden_states(cfg, params, x[perm], coeffs[np.ix_(perm, perm)])
-        np.testing.assert_allclose(a.h_graph, b.h_graph, atol=1e-15)
+        np.testing.assert_allclose(a.h_graph[0], b.h_graph[0], atol=1e-15)
 
 
 class TestClassify:
@@ -226,9 +228,11 @@ class TestClassify:
         params = init_params(cfg, 0)
         params.w_out[...] = 0.0
         params.b_out[...] = b_out
-        g = build_temporal_graph(np.array([[1.0, 2.0], [9.0, -9.0]]))
-        _, probs, _ = forward(params, cfg, g, mode="eval")
-        return probs
+        x = np.array([[1.0, 2.0], [9.0, -9.0]])
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
+        _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
+        return probs[0]
 
     def test_uniform_when_weights_zero(self):
         np.testing.assert_allclose(self._zero_head(0.0), 0.25)
@@ -240,17 +244,23 @@ class TestClassify:
     def test_eval_is_deterministic(self):
         cfg = config64()
         params = init_params(cfg, 2)
-        g = build_cosine_graph(np.random.default_rng(2).standard_normal((5, 4)), 0.3)
-        a = forward(params, cfg, g, mode="eval")[1]
-        assert np.array_equal(a, forward(params, cfg, g, mode="eval")[1])
+        x = np.random.default_rng(2).standard_normal((5, 4))
+        coeffs = norm_coefficients(build_cosine_graph(x, 0.3),
+                                   include_self=cfg.self_in_aggregation)
+        a = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")[1][0]
+        assert np.array_equal(a, forward_arrays(params, cfg, x[None], coeffs[None],
+                                                mode="eval")[1][0])
 
     def test_simplex_at_model_scales(self):
         rng = np.random.default_rng(3)
         cfg = config64(num_classes=5)
         for seed in range(50):
             params = init_params(cfg, seed)
-            g = build_cosine_graph(rng.standard_normal((4, 4)), 0.3)
-            _, probs, _ = forward(params, cfg, g, mode="eval")
+            x = rng.standard_normal((4, 4))
+            coeffs = norm_coefficients(build_cosine_graph(x, 0.3),
+                                       include_self=cfg.self_in_aggregation)
+            _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
+            probs = probs[0]
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -272,10 +282,12 @@ class TestForward:
         # single node; relu -> [1, 0]; skip doubles it -> [2, 0]; readout is
         # the row itself; identity head -> softmax([2, 0]).
         cfg, params = identity_params(2, 1, 2)
-        g = build_temporal_graph(np.array([[1.0, -2.0]]))
-        _, probs, _ = forward(params, cfg, g, mode="eval")
+        x = np.array([[1.0, -2.0]])
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
+        _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         e2 = math.exp(2.0)
-        np.testing.assert_allclose(probs, [e2 / (1 + e2), 1 / (1 + e2)], atol=1e-15)
+        np.testing.assert_allclose(probs[0], [e2 / (1 + e2), 1 / (1 + e2)], atol=1e-15)
 
     def test_permutation_invariance_float64(self):
         rng = np.random.default_rng(5)
@@ -284,12 +296,15 @@ class TestForward:
         for _ in range(20):
             n = int(rng.integers(2, 9))
             x = rng.standard_normal((n, 4))
-            g = build_cosine_graph(x, 0.3)
-            _, probs, _ = forward(params, cfg, g, mode="eval")
+            coeffs = norm_coefficients(build_cosine_graph(x, 0.3),
+                                       include_self=cfg.self_in_aggregation)
+            _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
             perm = rng.permutation(n)
-            gp = build_cosine_graph(x[perm], 0.3)
-            _, probs_p, _ = forward(params, cfg, gp, mode="eval")
-            assert np.max(np.abs(probs - probs_p)) < 1e-9
+            coeffs_p = norm_coefficients(build_cosine_graph(x[perm], 0.3),
+                                         include_self=cfg.self_in_aggregation)
+            _, probs_p, _ = forward_arrays(params, cfg, x[perm][None], coeffs_p[None],
+                                           mode="eval")
+            assert np.max(np.abs(probs[0] - probs_p[0])) < 1e-9
 
     def test_edgeless_graph_equals_per_node_oracle(self):
         # with no edges, the graph forward must equal classifying the average
@@ -300,48 +315,81 @@ class TestForward:
             * np.array([1.0, -1.0, 2.0, 0.5])
         g = build_cosine_graph(x, 1.0)  # distinct directions: no edges
         assert g.edges() == []
-        _, probs, cache = forward(params, cfg, g, mode="eval")
+        coeffs = norm_coefficients(g, include_self=cfg.self_in_aggregation)
+        _, probs, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
 
         finals = []
         for i in range(5):
             gi = build_cosine_graph(x[i : i + 1], 1.0)
-            _, _, ci = forward(params, cfg, gi, mode="eval")
-            finals.append(ci.hs[-1][0])
+            ci_coeffs = norm_coefficients(gi, include_self=cfg.self_in_aggregation)
+            _, _, ci = forward_arrays(params, cfg, x[i : i + 1][None], ci_coeffs[None],
+                                      mode="eval")
+            finals.append(ci.hs[-1][0][0])
         h_mean = np.mean(finals, axis=0)
-        np.testing.assert_allclose(cache.hs[-1], np.stack(finals), atol=1e-12)
+        np.testing.assert_allclose(cache.hs[-1][0], np.stack(finals), atol=1e-12)
         np.testing.assert_allclose(
-            probs, softmax(params.w_out @ h_mean + params.b_out), atol=1e-12
+            probs[0], softmax(params.w_out @ h_mean + params.b_out), atol=1e-12
         )
 
     def test_skip_shape_gating_without_pre(self):
         # in_dim != hidden: first layer cannot skip, later layers do
         cfg = config64(use_pre=False, num_layers=2)
         params = init_params(cfg, 1)
-        g = build_temporal_graph(np.random.default_rng(7).standard_normal((4, 4)))
-        _, _, cache = forward(params, cfg, g, mode="eval")
+        x = np.random.default_rng(7).standard_normal((4, 4))
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
+        _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         assert cfg.hidden_dim != cfg.in_dim
         assert cache.skips == [False, True]
 
     def test_skip_applies_when_widths_coincide(self):
         cfg = ModelConfig(in_dim=6, hidden_dim=6, num_layers=2, use_pre=False, dtype="float64")
         params = init_params(cfg, 1)
-        g = build_temporal_graph(np.random.default_rng(8).standard_normal((3, 6)))
-        _, _, cache = forward(params, cfg, g, mode="eval")
+        x = np.random.default_rng(8).standard_normal((3, 6))
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
+        _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         assert cache.skips == [True, True]
 
     def test_train_mode_requires_rng_with_dropout(self):
         cfg = config64(dropout=0.1)
         params = init_params(cfg, 0)
-        g = build_temporal_graph(np.zeros((2, 4)))
+        x = np.zeros((2, 4))
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
         with pytest.raises(ValueError, match="rng"):
-            forward(params, cfg, g, mode="train")
+            forward_arrays(params, cfg, x[None], coeffs[None], mode="train")
 
     def test_bad_mode_rejected(self):
         cfg = config64()
         params = init_params(cfg, 0)
-        g = build_temporal_graph(np.zeros((2, 4)))
+        x = np.zeros((2, 4))
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
         with pytest.raises(ValueError, match="mode"):
-            forward(params, cfg, g, mode="predict")
+            forward_arrays(params, cfg, x[None], coeffs[None], mode="predict")
+
+    def test_only_a_group_is_accepted(self):
+        # one graph alone is a group of one, (1, n, d) with (1, n, n)
+        cfg = config64(dropout=0.5)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(10).standard_normal((2, 3, 4))
+        coeffs = np.broadcast_to(np.eye(3), (2, 3, 3))
+        masks = sample_dropout_mask(cfg, np.random.default_rng(11), (2,))
+        for bad_x, bad_coeffs in [(x[0], coeffs[0]), (x, coeffs[0]), (x[:1], coeffs),
+                                  (x, coeffs[:, :2, :2]), (x[..., None], coeffs)]:
+            with pytest.raises(ValueError, match="expected a group"):
+                forward_arrays(params, cfg, bad_x, bad_coeffs)
+        with pytest.raises(ValueError, match="dropout mask"):  # one mask for two graphs
+            forward_arrays(params, cfg, x, coeffs, "train", dropout_mask=masks[0])
+        for n_nodes in (3, [3], [3, 3, 3]):
+            with pytest.raises(ValueError, match="n_nodes"):
+                forward_arrays(params, cfg, x, coeffs, n_nodes=n_nodes)
+        _, _, cache = forward_arrays(params, cfg, x, coeffs, "train", dropout_mask=masks,
+                                     n_nodes=[3, 2])
+        assert backward(params, cfg, cache, [0, 1]).flat.shape == (2, param_count(cfg))
+        with pytest.raises(ValueError, match="expected a group"):
+            backward(params, cfg, replace(cache, x=cache.x[0], coeffs=cache.coeffs[0]), [0])
 
 
 class TestParamCount:

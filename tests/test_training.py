@@ -21,7 +21,7 @@ from cogcn import (
     cross_entropy_from_logits,
     evaluate,
     fit_standardizer,
-    forward,
+    forward_arrays,
     init_adam_state,
     init_params,
     loso_cv,
@@ -88,11 +88,14 @@ class TestBackward:
         params = init_params(cfg, 0)
         params.w_out[:] = 0.0
         params.b_out[:] = 0.0
-        g = build_temporal_graph(np.random.default_rng(2).standard_normal((3, 3)))
+        x = np.random.default_rng(2).standard_normal((3, 3))
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
         mask = sample_dropout_mask(cfg, np.random.default_rng(0))
-        _, _, cache = forward(params, cfg, g, mode="train", dropout_mask=mask)
-        grads = backward(params, cfg, cache, label=2)
-        np.testing.assert_allclose(grads.b_out, [0.25, 0.25, -0.75, 0.25], atol=1e-15)
+        _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="train",
+                                     dropout_mask=mask[None])
+        grads = backward(params, cfg, cache, label=[2])
+        np.testing.assert_allclose(grads.b_out[0], [0.25, 0.25, -0.75, 0.25], atol=1e-15)
 
     def test_gradient_accumulation_is_linear(self):
         # duplicating a graph doubles its contribution before averaging
@@ -100,16 +103,19 @@ class TestBackward:
                           dropout=0.0, dtype="float64")
         params = init_params(cfg, 1)
         rng = np.random.default_rng(3)
-        g1 = build_temporal_graph(rng.standard_normal((3, 3)))
-        g2 = build_temporal_graph(rng.standard_normal((4, 3)))
+        x1 = rng.standard_normal((3, 3))
+        x2 = rng.standard_normal((4, 3))
 
-        def grad_of(graph, label):
+        def grad_of(x, label):
+            coeffs = norm_coefficients(build_temporal_graph(x),
+                                       include_self=cfg.self_in_aggregation)
             mask = sample_dropout_mask(cfg, np.random.default_rng(0))
-            _, _, cache = forward(params, cfg, graph, mode="train", dropout_mask=mask)
-            return backward(params, cfg, cache, label)
+            _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="train",
+                                         dropout_mask=mask[None])
+            return backward(params, cfg, cache, [label])
 
-        a, b = grad_of(g1, 0), grad_of(g2, 1)
-        twice_a = grad_of(g1, 0)
+        a, b = grad_of(x1, 0), grad_of(x2, 1)
+        twice_a = grad_of(x1, 0)
         avg = (2 * a.w_out + b.w_out) / 3.0
         manual = (a.w_out + twice_a.w_out + b.w_out) / 3.0
         np.testing.assert_allclose(avg, manual, atol=1e-15)
@@ -146,10 +152,12 @@ class TestBackward:
     def test_requires_train_cache(self):
         cfg = ModelConfig(in_dim=3, hidden_dim=4, num_layers=1, dtype="float64")
         params = init_params(cfg, 0)
-        g = build_temporal_graph(np.zeros((2, 3)))
-        _, _, cache = forward(params, cfg, g, mode="eval")
+        x = np.zeros((2, 3))
+        coeffs = norm_coefficients(build_temporal_graph(x),
+                                   include_self=cfg.self_in_aggregation)
+        _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         with pytest.raises(ValueError, match="train-mode"):
-            backward(params, cfg, cache, 0)
+            backward(params, cfg, cache, [0])
 
 
 class TestAdam:

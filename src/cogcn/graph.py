@@ -19,6 +19,9 @@ import numpy as np
 
 from .util import write_text_atomic
 
+GRAPH_KINDS = ("cosine", "temporal")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A symmetric, self-loop-free boolean adjacency and its degree terms."""

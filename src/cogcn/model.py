@@ -26,7 +26,10 @@ sums, so a graph gets the bits of its own call wherever BLAS sums in an order
 that does not depend on the padded length (see tests/test_batching.py).
 
 Training passes a ``Workspace``, so that every node-sized intermediate goes
-into a reused array with ``out=``; without one numpy allocates.
+into a reused array with ``out=``, and the products take contiguous copies
+of ``W_pre.T`` and ``W_msg[k].T``; without one numpy allocates and multiplies
+by the strided views. Both give the same bits at the model's widths (see
+tests/test_model.py for where BLAS tells them apart).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import DataError, StandardizeStats
+from .graph import GRAPH_KINDS
 from .util import substream, write_text_atomic
 
 CHECKPOINT_VERSION = 1
@@ -169,18 +173,43 @@ class Workspace:
     """One flat array per name, reused by every batch of a ``train`` call.
 
     Pass ``out=workspace and workspace.take(...)``: without one numpy allocates.
+    The views it hands out, and the ``ModelParams`` built on them, are kept,
+    so a batch of a shape seen before builds none; an array that has to grow
+    drops every view it had.
     """
 
     def __init__(self) -> None:
         self.arrays: dict[str, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray | ModelParams] = {}
 
     def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """The first prod(shape) entries of array ``name``, replaced if too small; not zeroed."""
-        size = math.prod(shape)
-        flat = self.arrays.get(name)
-        if flat is None or flat.size < size or flat.dtype != dtype:
-            flat = self.arrays[name] = np.empty(size, dtype=dtype)
-        return flat[:size].reshape(shape)
+        key = (name, shape, dtype)
+        view = self.views.get(key)
+        if view is None:
+            size = math.prod(shape)
+            flat = self.arrays.get(name)
+            if flat is None or flat.size < size or flat.dtype != dtype:
+                flat = self.arrays[name] = np.empty(size, dtype=dtype)
+                for old in [k for k in self.views if k[0] == name]:
+                    del self.views[old]
+            view = self.views[key] = flat[:size].reshape(shape)
+        return view
+
+    def params(self, name: str, shape: tuple, config: ModelConfig) -> ModelParams:
+        """A ``ModelParams`` on ``take(name, shape, config.np_dtype)``."""
+        key = (name, shape, config)
+        params = self.views.get(key)
+        if params is None:
+            flat = self.take(name, shape, config.np_dtype)
+            params = self.views[key] = ModelParams(config, flat)
+        return params
+
+    def transposed(self, name: str, w: np.ndarray) -> np.ndarray:
+        """``w.T`` copied into array ``name``: BLAS multiplies a contiguous operand faster."""
+        out = self.take(name, w.shape[::-1], w.dtype)
+        np.copyto(out, w.T)
+        return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -272,8 +301,8 @@ def forward_arrays(
 
     hidden = x.shape[:-1] + (config.hidden_dim,)
     if config.use_pre:
-        pre_act = np.matmul(x, params.w_pre.T,
-                            out=workspace and workspace.take("pre_act", hidden, dt))
+        w_pre_t = workspace.transposed("w_pre_t", params.w_pre) if workspace else params.w_pre.T
+        pre_act = np.matmul(x, w_pre_t, out=workspace and workspace.take("pre_act", hidden, dt))
         pre_act += params.b_pre
         h = np.maximum(pre_act, 0.0, out=workspace and workspace.take("h0", hidden, dt))
         if node_mask is not None:
@@ -288,8 +317,8 @@ def forward_arrays(
     skips: list[bool] = []
     for k in range(config.num_layers):
         agg = np.matmul(coeffs, h, out=workspace and workspace.take(f"agg{k}", h.shape, dt))
-        preact = np.matmul(agg, params.w_msg[k].T,
-                           out=workspace and workspace.take(f"preact{k}", hidden, dt))
+        w_t = workspace.transposed("w_msg_t", params.w_msg[k]) if workspace else params.w_msg[k].T
+        preact = np.matmul(agg, w_t, out=workspace and workspace.take(f"preact{k}", hidden, dt))
         h_new = np.maximum(preact, 0.0,
                            out=workspace and workspace.take(f"h{k + 1}", hidden, dt))
         skip = config.use_skip and h_new.shape == h.shape
@@ -301,7 +330,7 @@ def forward_arrays(
         hs.append(h_new)
         h = h_new
 
-    h_graph = h.sum(axis=-2) / counts
+    h_graph = np.einsum("...nz->...z", h) / counts  # the bits of h.sum(axis=-2) for z >= 2
     if mode == "train":
         h_dropped = h_graph * dropout_mask
     else:
@@ -418,6 +447,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         class_names = tuple(obj["class_names"])
         if len(class_names) != config.num_classes:
             raise ValueError(f"{len(class_names)} class names for {config.num_classes} classes")
+        train_meta = obj.get("train_meta") or {}
+        if not isinstance(train_meta, dict):
+            raise ValueError(f"train_meta is not an object: {train_meta!r}")
+        gamma, kind = train_meta.get("gamma"), train_meta.get("graph_kind")
+        if gamma is not None and not (type(gamma) in (int, float) and -1.0 < gamma <= 1.0):
+            raise ValueError(f"train_meta gamma must be a number in (-1, 1], got {gamma!r}")
+        if kind is not None and kind not in GRAPH_KINDS:
+            raise ValueError(f"train_meta graph_kind must be one of {GRAPH_KINDS}, got {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(
@@ -425,7 +462,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config=config,
         class_names=class_names,
         standardizer=standardizer,
-        train_meta=obj.get("train_meta") or {},
+        train_meta=train_meta,
     )
 
 

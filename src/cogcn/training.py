@@ -22,12 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .features import Dataset, StandardizeStats, apply_standardizer, fit_standardizer
-from .graph import build_cosine_graph, build_temporal_graph, norm_coefficients
+from .graph import GRAPH_KINDS, build_cosine_graph, build_temporal_graph, norm_coefficients
 from .model import (ForwardCache, ModelConfig, ModelParams, check_group, forward_arrays,
                     init_params, Workspace, param_count, sample_dropout_mask)
 from .util import substream, write_text_atomic
-
-GRAPH_KINDS = ("cosine", "temporal")
 
 # Coefficient entries, members * N_max**2, that one padded group may hold.
 # Short graphs share a call; long ones run alone, because a larger padded
@@ -122,8 +120,8 @@ def backward(
     # every entry is written in place into the views of the flat rows
     dt = config.np_dtype
     shape = labels.shape + (param_count(config),)
-    grads = ModelParams(config, workspace.take("grad_rows", shape, dt) if workspace
-                        else np.empty(shape, dtype=dt))
+    grads = (workspace.params("grad_rows", shape, config) if workspace
+             else ModelParams(config, np.empty(shape, dtype=dt)))
     d_logits = grads.b_out
     np.subtract(cache.probs, np.eye(config.num_classes, dtype=dt)[labels], out=d_logits)
 
@@ -156,7 +154,7 @@ def backward(
         d_pre = np.multiply(dh, cache.pre_act > 0,
                             out=workspace and workspace.take("d_preact", hidden, dt))
         np.matmul(d_pre.swapaxes(-1, -2), cache.x, out=grads.w_pre)
-        d_pre.sum(axis=-2, out=grads.b_pre)
+        np.einsum("...nz->...z", d_pre, out=grads.b_pre)
     return grads
 
 
@@ -438,7 +436,7 @@ def _batch_gradient(
     masks = sample_dropout_mask(config, rng_dropout, (len(batch),))
     losses = np.empty(len(batch))
     size = (param_count(config),)
-    grads = ModelParams(config, workspace and workspace.take("grad", size, config.np_dtype))
+    grads = workspace.params("grad", size, config) if workspace else ModelParams(config)
     grads.flat[...] = 0.0
     start = 0
     for x, coeffs, n_nodes, labels in _groups(batch):

@@ -201,7 +201,7 @@ def _arm_corpus(seed: int):
     )
 
 
-def _run_arms(out_dir) -> dict:
+def _run_arms(out_dir, jobs: int = 1) -> dict:
     """Full LOSO with per-fold (K, gamma) selection for all three arms."""
     results = {}
     for arm, graph_kind, use_skip in (
@@ -215,7 +215,7 @@ def _run_arms(out_dir) -> dict:
                               num_classes=4, use_skip=use_skip)
             tc = TrainConfig(model=cfg, lr=1e-3, epochs=20, batch_size=32,
                              seed=seed, graph_kind=graph_kind)
-            cv = loso_cv(_arm_corpus(seed), tc)
+            cv = loso_cv(_arm_corpus(seed), tc, jobs=jobs)
             write_metrics_json(cv, out_dir / f"{arm}_seed{seed}.json")
             means.append(cv.mean_ua)
         results[arm] = float(np.mean(means))
@@ -257,7 +257,7 @@ def test_criterion_7_determinism(first_pass, arm_workdir):
     _, _, pass1_dir = first_pass
     pass2_dir = arm_workdir / "pass2"
     pass2_dir.mkdir()
-    _run_arms(pass2_dir)
+    _run_arms(pass2_dir, jobs=2)  # so the rerun also checks parallel against serial
     mismatched = []
     files = sorted(p.name for p in pass1_dir.iterdir())
     for name in files:
@@ -266,7 +266,7 @@ def test_criterion_7_determinism(first_pass, arm_workdir):
     _report(
         "criterion 7 (determinism)",
         bool(files) and not mismatched,
-        f"{len(files)} metrics files bit-identical across reruns"
+        f"{len(files)} metrics files bit-identical across a serial run and a 2-process rerun"
         if not mismatched
         else f"differs: {mismatched}",
     )

@@ -133,9 +133,11 @@ def test_workspace_gives_the_bits_of_fresh_arrays(dtype, use_pre, use_skip, self
     params = _params(config, 9)
     graphs = _graphs(config, seed=10)
     workspace = Workspace()
-    # one group of all ten graphs, padded to 130, leaves every array larger
-    # than the runs below need; then every entry is set to NaN, so a value
-    # that a call reads without writing it first shows
+    # a batch of the first three graphs caches views and gradient containers
+    # of small arrays; one group of all ten graphs, padded to 130, then
+    # regrows the node-sized arrays and the gradient rows, which must drop
+    # the views they had
+    _batch_gradient(params, config, graphs[:3], np.random.default_rng(12), workspace)
     monkeypatch.setattr(training, "MAX_GROUP_ENTRIES", len(graphs) * 130**2)
     (x, coeffs, n_nodes, labels), = _groups(graphs)
     masks = sample_dropout_mask(config, np.random.default_rng(11), (len(graphs),))
@@ -143,6 +145,12 @@ def test_workspace_gives_the_bits_of_fresh_arrays(dtype, use_pre, use_skip, self
                                  n_nodes=n_nodes, workspace=workspace)
     backward(params, config, cache, labels, workspace)
     _batch_gradient(params, config, graphs, np.random.default_rng(12), workspace)
+    assert any(isinstance(view, ModelParams) for view in workspace.views.values())
+    for (name, *_), view in workspace.views.items():
+        flat = view.flat if isinstance(view, ModelParams) else view
+        assert np.shares_memory(flat, workspace.arrays[name]), name
+    # every array is now larger than the runs below need; every entry is set
+    # to NaN, so a value that a call reads without writing it first shows
     for array in workspace.arrays.values():
         array.fill(np.nan)
     monkeypatch.undo()
@@ -235,3 +243,19 @@ def test_single_graph_passes_its_arrays_as_they_are():
     assert x.base is pg.x and coeffs.base is pg.coeffs  # views, no copy
     assert x.shape == (1,) + pg.x.shape and coeffs.shape == (1,) + pg.coeffs.shape
     assert n_nodes is None and labels.tolist() == [pg.label]
+
+
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+def test_node_sums_are_sums_over_the_node_axis(dtype):
+    # The readout and the b_pre gradient sum over nodes with einsum, which at
+    # every width z >= 2 gives the bits of sum(axis=-2). At z=1 the node axis
+    # is contiguous and the two reduce it in different blocks (README).
+    rng = np.random.default_rng(14)
+    for b, n, z in itertools.product((1, 2, 5, 32), (1, 2, 3, 7, 16, 31, 100, 300),
+                                     (2, 3, 4, 16, 24, 88, 128)):
+        h = rng.standard_normal((b, n, z)).astype(dtype)
+        out = np.full((b, z), np.nan, dtype=dtype)
+        np.einsum("...nz->...z", h, out=out)
+        expected = h.sum(axis=-2).tobytes()
+        assert np.einsum("...nz->...z", h).tobytes() == expected, (b, n, z)
+        assert out.tobytes() == expected, (b, n, z)

@@ -182,6 +182,15 @@ class TestTrain:
         assert dir_digest(tmp_path / "r1") == dir_digest(tmp_path / "r2")
 
 
+# train_meta graph settings that no training run writes
+BAD_GRAPH_SETTINGS = {
+    "gamma_text": {"gamma": "0.5"},
+    "gamma_out_of_range": {"gamma": 5.0},
+    "graph_kind_list": {"graph_kind": ["cosine"]},
+    "graph_kind_knn": {"graph_kind": "knn"},
+}
+
+
 class TestEval:
     def test_checkpoint_reproduces_recorded_val_score(self, data_dir, trained, capsys):
         # the holdout fold validated on spk01; evaluating the saved checkpoint
@@ -217,6 +226,8 @@ class TestEval:
     @pytest.mark.parametrize("fault", [
         "missing", "invalid_json", "bad_version", "truncated_w_e", "w_e_count",
         "standardizer_narrow", "standardizer_wide", "zero_std", "nan_mean", "inf_std",
+        "gamma_text", "gamma_out_of_range", "graph_kind_list", "graph_kind_knn",
+        "train_meta_list",
     ])
     def test_bad_checkpoint_is_data_error(self, tmp_path, data_dir, trained, fault, capsys):
         good = json.loads((trained / "fold_spk00.json").read_text())
@@ -231,6 +242,11 @@ class TestEval:
         elif fault == "w_e_count":
             good["params"]["W_e"].append(good["params"]["W_e"][-1])
             ckpt.write_text(json.dumps(good))
+        elif fault in BAD_GRAPH_SETTINGS:
+            meta = {**good["train_meta"], **BAD_GRAPH_SETTINGS[fault]}
+            ckpt.write_text(json.dumps({**good, "train_meta": meta}))
+        elif fault == "train_meta_list":
+            ckpt.write_text(json.dumps({**good, "train_meta": [good["train_meta"]]}))
         elif fault != "missing":  # the standardizer does not fit the model
             mean, std = good["standardizer"]["mean"], good["standardizer"]["std"]
             stats = {
@@ -246,6 +262,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err
         assert "Traceback" not in err
+        for field in BAD_GRAPH_SETTINGS.get(fault, ()):
+            assert f"train_meta {field}" in err
+
+    def test_graph_override_replaces_the_checkpoint_settings(self, data_dir, trained, capsys):
+        ckpt = trained / "fold_spk00.json"
+        assert json.loads(ckpt.read_text())["train_meta"]["graph_kind"] == "cosine"
+        for override in (["--gamma", 0.55], ["--graph", "temporal"]):
+            assert run(["eval", "--ckpt", ckpt, "--data", data_dir, "--json", *override]) == 0
+            assert 0.0 <= json.loads(capsys.readouterr().out)["ua"] <= 1.0
 
     def test_extra_class_name_is_data_error(self, tmp_path, trained, capsys):
         # a 4-class checkpoint that names a fifth class, on a 5-class corpus

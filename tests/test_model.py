@@ -1,6 +1,7 @@
 """Parameter container, model stages through the full forward, parameter
 accounting, checkpoints."""
 
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from cogcn import (
     save_checkpoint,
     softmax,
 )
+from cogcn.model import Workspace
 
 PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_float64.json"
 
@@ -390,6 +392,28 @@ class TestForward:
         assert backward(params, cfg, cache, [0, 1]).flat.shape == (2, param_count(cfg))
         with pytest.raises(ValueError, match="expected a group"):
             backward(params, cfg, replace(cache, x=cache.x[0], coeffs=cache.coeffs[0]), [0])
+
+
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+def test_contiguous_transpose_gives_the_bits_of_the_view(dtype):
+    # With a Workspace, forward_arrays multiplies by a contiguous copy of
+    # W.T, without one by the strided view. Both give the same bits at the
+    # pre-layer and message-passing shapes of the desk and reference scales.
+    # They differ for a group whose graphs have one node (numpy takes a
+    # vector-matrix path), for N <= 9 nodes at inner widths 88 and 128, and
+    # from width 88 to 16 at N <= 75: BLAS runs another kernel there.
+    rng = np.random.default_rng(15)
+    workspace = Workspace()
+    for (d_in, z), b, n in itertools.product(
+            ((3, 4), (8, 16), (16, 16), (16, 128), (88, 128), (128, 128)), (1, 3, 32),
+            (10, 16, 17, 31, 32, 100, 257, 300)):
+        if b * n * max(d_in, z) > 2**20:
+            continue  # MAX_GROUP_ENTRIES never puts 32 graphs that long in one run
+        x = rng.standard_normal((b, n, d_in)).astype(dtype)
+        w = rng.standard_normal((z, d_in)).astype(dtype)
+        w_t = workspace.transposed("w_t", w)
+        assert w_t.flags.c_contiguous and np.array_equal(w_t, w.T)
+        assert np.matmul(x, w_t).tobytes() == np.matmul(x, w.T).tobytes(), (d_in, z, b, n)
 
 
 class TestParamCount:

@@ -152,15 +152,27 @@ class StandardizeStats:
 # loading / saving
 
 
+def _read_text(path: Path, what: str) -> str:
+    """A manifest's or feature file's text; a file that is missing, cannot
+    be read or is not UTF-8 raises a ``DataError`` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"{path}: {what} not found") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8: byte {exc.start} is "
+                        f"0x{exc.object[exc.start]:02x}") from exc
+
+
 def _read_feature_csv(path: Path) -> np.ndarray:
     """One utterance's (n, d) frames: one C-level parse, then checks in numpy.
 
     A file the parse or the checks reject is walked line by line by
     ``_locate_fault``, which raises the error with ``path:line``.
     """
-    if not path.exists():
-        raise DataError(f"{path}: feature file not found")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, "feature file").splitlines()
     if not lines:
         raise DataError(f"{path}: missing header row")
     header = lines[0].split(",")
@@ -219,30 +231,32 @@ def _locate_fault(path: Path, body: list[str], d: int, exc: ValueError | None) -
 def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
     """Load a dataset from a JSON Lines manifest.
 
-    Each manifest line is an object with keys id, path (relative to the
-    manifest), label, speaker, and optional session. When ``class_names`` is
-    given the manifest labels must be drawn from it; otherwise the sorted set
-    of label strings defines the classes.
+    Each manifest line is an object with string values for the keys id,
+    path (relative to the manifest), label, speaker, and optional session.
+    When ``class_names`` is given the manifest labels must be drawn from it;
+    otherwise the sorted set of label strings defines the classes.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.jsonl"
-    if not manifest_path.exists():
-        raise DataError(f"{manifest_path}: manifest not found")
 
     entries = []
-    for lineno, line in enumerate(
-        manifest_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(_read_text(manifest_path, "manifest").splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest_path}:{lineno}: invalid JSON: {exc}") from exc
-        for key in ("id", "path", "label", "speaker"):
-            if key not in obj:
+        if not isinstance(obj, dict):
+            raise DataError(f"{manifest_path}:{lineno}: expected a JSON object, "
+                            f"got {type(obj).__name__}")
+        for key in ("id", "path", "label", "speaker", "session"):
+            if key not in obj and key != "session":
                 raise DataError(f"{manifest_path}:{lineno}: missing key '{key}'")
+            if not isinstance(obj.get(key, ""), str):
+                raise DataError(f"{manifest_path}:{lineno}: key '{key}' must be a string, "
+                                f"got {json.dumps(obj[key])}")
         entries.append(obj)
     if not entries:
         raise DataError(f"{manifest_path}: empty manifest")
@@ -261,9 +275,12 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
                 f"{manifest_path}: unknown label '{entry['label']}' "
                 f"(classes: {', '.join(class_names)})"
             )
-        feats = _read_feature_csv(manifest_path.parent / entry["path"])
+        path = manifest_path.parent / entry["path"]
+        feats = _read_feature_csv(path)
         if feats.shape[0] == 0:
             raise DataError(f"{entry['path']}: empty utterance (no frame rows)")
+        if feats.shape[1] == 0:
+            raise DataError(f"{path}:1: the header names no feature column")
         if d is None:
             d = feats.shape[1]
         elif feats.shape[1] != d:

@@ -167,7 +167,6 @@ def run_gradcheck(
     n_instances: int = 20,
     seed: int = 0,
     step: float = DEFAULT_STEP,
-    tol: float = DEFAULT_TOL,
 ) -> GradcheckReport:
     """Compare ``backward`` against central differences on random instances."""
     if n_instances < 1:

@@ -424,7 +424,7 @@ def _batch_gradient(
     config: ModelConfig,
     batch: list[PreparedGraph],
     rng_dropout: np.random.Generator,
-    workspace=None,
+    workspace: Workspace,
 ) -> tuple[np.ndarray, ModelParams]:
     """Per-graph losses and the mean gradient of a batch in utterance order.
 
@@ -435,8 +435,7 @@ def _batch_gradient(
     """
     masks = sample_dropout_mask(config, rng_dropout, (len(batch),))
     losses = np.empty(len(batch))
-    size = (param_count(config),)
-    grads = workspace.params("grad", size, config) if workspace else ModelParams(config)
+    grads = workspace.params("grad", (param_count(config),), config)
     grads.flat[...] = 0.0
     start = 0
     for x, coeffs, n_nodes, labels in _groups(batch):

@@ -66,13 +66,14 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_permutation_invariance():
     rng = np.random.default_rng(2024)
-    cfg = ModelConfig(in_dim=5, hidden_dim=8, num_layers=3, num_classes=4,
-                      dtype="float64")
+    configs = [ModelConfig(in_dim=d, hidden_dim=z, num_layers=3, num_classes=c,
+                           dtype="float64") for d, z, c in ((5, 8, 4), (4, 6, 3))]
     worst = 0.0
     for trial in range(100):
+        cfg = configs[trial % 2]
         params = init_params(cfg, trial % 7)
         n = int(rng.integers(2, 10))
-        x = rng.standard_normal((n, 5))
+        x = rng.standard_normal((n, cfg.in_dim))
         gamma = float(rng.uniform(0.2, 0.7))
         coeffs = norm_coefficients(build_cosine_graph(x, gamma),
                                    include_self=cfg.self_in_aggregation)
@@ -94,7 +95,7 @@ def test_criterion_3_graph_laws():
     violations = []
 
     for _ in range(GRAPH_LAW_TRIALS):
-        x = rng.standard_normal((int(rng.integers(2, 12)), 4))
+        x = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 7))))
         g1, g2 = sorted(rng.uniform(-0.9, 1.0, size=2))
         if not set(build_cosine_graph(x, g2).edges()) <= set(
             build_cosine_graph(x, g1).edges()
@@ -102,7 +103,7 @@ def test_criterion_3_graph_laws():
             violations.append("monotonicity")
 
     for _ in range(GRAPH_LAW_TRIALS):
-        x = rng.standard_normal((int(rng.integers(2, 12)), 4))
+        x = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 7))))
         gamma = float(rng.uniform(-0.5, 0.9))
         row = int(rng.integers(x.shape[0]))
         scaled = x.copy()
@@ -113,7 +114,7 @@ def test_criterion_3_graph_laws():
             violations.append("row-scale invariance")
 
     for _ in range(GRAPH_LAW_TRIALS):
-        x = rng.standard_normal((int(rng.integers(1, 12)), 4))
+        x = rng.standard_normal((int(rng.integers(1, 12)), int(rng.integers(1, 7))))
         g = build_cosine_graph(x, float(rng.uniform(-0.5, 1.0)))
         sim = cosine_similarity_matrix(x)
         if not np.array_equal(g.adjacency, g.adjacency.T) or np.any(
@@ -143,17 +144,28 @@ def test_criterion_4_parameter_accounting():
     )
     ok = headline == (44676, 61060, 44548)
 
-    # the count formula must agree with the entries actually allocated, and
-    # the skip flag must never change it
-    for k in (1, 2, 3, 4):
-        for use_pre in (True, False):
-            for z, d, c in ((128, 88, 4), (8, 5, 2), (16, 16, 3)):
-                cfg = ModelConfig(in_dim=d, hidden_dim=z, num_layers=k,
-                                  num_classes=c, use_pre=use_pre)
-                ok = ok and param_count(cfg) == init_params(cfg, 0).flat.size
-                ok = ok and param_count(cfg) == param_count(
-                    replace(cfg, use_skip=not cfg.use_skip)
-                )
+    # the count must equal the closed form and the entries of the arrays that
+    # forward reads, and the skip flag must never change it: over the grid,
+    # then over 25 random small configurations, widths down to 1
+    configs = [ModelConfig(in_dim=d, hidden_dim=z, num_layers=k, num_classes=c,
+                           use_pre=use_pre)
+               for k in (1, 2, 3, 4) for use_pre in (True, False)
+               for z, d, c in ((128, 88, 4), (8, 5, 2), (16, 16, 3))]
+    rng = np.random.default_rng(9)
+    configs += [ModelConfig(in_dim=int(rng.integers(1, 12)), hidden_dim=int(rng.integers(1, 12)),
+                            num_layers=int(rng.integers(1, 5)),
+                            num_classes=int(rng.integers(2, 6)), use_pre=bool(rng.integers(2)),
+                            use_skip=bool(rng.integers(2))) for _ in range(25)]
+    for cfg in configs:
+        z, d, c = cfg.hidden_dim, cfg.in_dim, cfg.num_classes
+        first_in = z if cfg.use_pre else d
+        closed_form = (z * d + z) * cfg.use_pre + z * first_in \
+            + z * z * (cfg.num_layers - 1) + c * z + c
+        params = init_params(cfg, 0)
+        used = [params.w_pre, params.b_pre, *params.w_msg, params.w_out, params.b_out]
+        ok = ok and param_count(cfg) == closed_form == params.flat.size
+        ok = ok and sum(a.size for a in used if a is not None) == closed_form
+        ok = ok and param_count(cfg) == param_count(replace(cfg, use_skip=not cfg.use_skip))
     _report(
         "criterion 4 (parameter accounting)",
         ok,

@@ -182,6 +182,47 @@ class TestTrain:
         assert dir_digest(tmp_path / "r1") == dir_digest(tmp_path / "r2")
 
 
+# how each fault edits the first manifest entry (None: a file, below), and
+# what `cogcn train` must say about it, naming the file
+BAD_INPUTS = {
+    "not_an_object": (lambda e: 5, "manifest.jsonl:1: expected a JSON object, got int"),
+    "path_number": (lambda e: {**e, "path": 5},
+                    "manifest.jsonl:1: key 'path' must be a string, got 5"),
+    "label_list": (lambda e: {**e, "label": [1]},
+                   "manifest.jsonl:1: key 'label' must be a string, got [1]"),
+    "speaker_number": (lambda e: {**e, "speaker": 3},
+                       "manifest.jsonl:1: key 'speaker' must be a string, got 3"),
+    "path_is_directory": (lambda e: {**e, "path": "."},
+                          "tiny: cannot read feature file: Is a directory"),
+    "manifest_not_utf8": (None, "manifest.jsonl: manifest is not UTF-8: byte 0 is 0xff"),
+    "features_not_utf8": (None, "spk00_u000.csv: feature file is not UTF-8: byte 0 is 0xff"),
+    "header_only_index": (None, "spk00_u000.csv:1: the header names no feature column"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_INPUTS)
+def test_bad_input_file_is_data_error_naming_it(tmp_path, capsys, fault):
+    data = tmp_path / "tiny"
+    assert run(["synth", "--classes", 2, "--speakers", 3, "--utts", 2, "--frames-lo", 4,
+                "--frames-hi", 8, "--dim", 4, "--seed", 0, "-o", data]) == 0
+    manifest = data / "manifest.jsonl"
+    edit, message = BAD_INPUTS[fault]
+    first, *rest = manifest.read_text().splitlines()
+    if edit:
+        manifest.write_text("\n".join([json.dumps(edit(json.loads(first))), *rest]) + "\n")
+    elif fault == "manifest_not_utf8":
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+    elif fault == "features_not_utf8":
+        (data / "spk00_u000.csv").write_bytes(b"\xff\n")
+    else:
+        (data / "spk00_u000.csv").write_text("frame_index\n0\n")
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--k", 1, "--z", 4, "--epochs", 1,
+                "-o", tmp_path / "r"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 # train_meta graph settings that no training run writes
 BAD_GRAPH_SETTINGS = {
     "gamma_text": {"gamma": "0.5"},

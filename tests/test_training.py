@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cogcn import (
     AdamState,
@@ -41,6 +43,11 @@ from cogcn import (
 from cogcn.gradcheck import run_gradcheck
 
 
+# a vector of 2 to 8 logits in [-30, 30], and a label
+LOGITS_AND_LABEL = st.integers(2, 8).flatmap(lambda c: st.tuples(
+    arrays(np.float64, c, elements=st.floats(-30.0, 30.0)), st.integers(0, c - 1)))
+
+
 class TestCrossEntropy:
     def test_uniform(self):
         assert cross_entropy_from_logits([[0.0, 0.0, 0.0, 0.0]], [0])[0] == pytest.approx(
@@ -58,20 +65,19 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="label"):
             cross_entropy_from_logits([[0.5, 0.5]], [2])
 
-    def test_logits_route_matches_probs_route(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            logits = rng.standard_normal(5) * 3
-            label = int(rng.integers(5))
-            assert cross_entropy_from_logits([logits], [label])[0] == pytest.approx(
-                -math.log(softmax(logits)[label]), rel=1e-12
-            )
+    @settings(max_examples=50)
+    @given(LOGITS_AND_LABEL)
+    def test_logits_route_matches_probs_route(self, case):
+        logits, label = case
+        assert cross_entropy_from_logits([logits], [label])[0] == pytest.approx(
+            -math.log(softmax(logits)[label]), rel=1e-12
+        )
 
-    def test_non_negative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            logits = rng.standard_normal(4)
-            assert cross_entropy_from_logits([logits], [int(rng.integers(4))])[0] >= 0.0
+    @settings(max_examples=100)
+    @given(LOGITS_AND_LABEL)
+    def test_non_negative(self, case):
+        logits, label = case
+        assert cross_entropy_from_logits([logits], [label])[0] >= 0.0
 
 
 class TestBackward:
@@ -265,18 +271,14 @@ class TestMetrics:
         m = metrics_from_confusion(np.array([[2, 0, 0], [0, 1, 1], [0, 0, 0]]))
         assert m.ua == pytest.approx((1.0 + 0.5) / 2)
 
-    def test_wa_equals_ua_when_balanced(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            c = int(rng.integers(2, 5))
-            n_per = int(rng.integers(1, 6))
-            confusion = np.zeros((c, c), dtype=int)
-            for true in range(c):
-                preds = rng.integers(0, c, size=n_per)
-                for p in preds:
-                    confusion[true, p] += 1
-            m = metrics_from_confusion(confusion)
-            assert m.wa == pytest.approx(m.ua, abs=1e-12)
+    @settings(max_examples=50)
+    @given(st.tuples(st.integers(2, 8), st.integers(1, 10)).flatmap(
+        lambda shape: arrays(np.int64, shape, elements=st.integers(0, shape[0] - 1))))
+    def test_wa_equals_ua_when_balanced(self, preds):
+        # row i holds the predictions for the utterances of class i, as many per class
+        m = metrics_from_confusion(np.array([np.bincount(row, minlength=len(preds))
+                                             for row in preds]))
+        assert m.wa == pytest.approx(m.ua, abs=1e-12)
 
 
 def small_corpus(seed=0, noise=0.0, sep=6.0, speakers=4):

@@ -76,7 +76,7 @@ class Dataset:
                 )
             if utt.n_frames < 1:
                 raise DataError(f"utterance '{utt.id}': empty utterance")
-            if not np.all(np.isfinite(utt.features)):
+            if not np.isfinite(utt.features).all():
                 raise DataError(f"utterance '{utt.id}': non-finite feature value")
             if not 0 <= utt.label < len(self.class_names):
                 raise DataError(

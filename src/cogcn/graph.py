@@ -6,7 +6,8 @@ similarity clears a threshold. The temporal variant instead chains
 consecutive frames. Self-loops are never stored; they enter through the
 degree term degree_hat[i] = 1 + (number of neighbours), and aggregation
 weights are the symmetric normalization 1 / sqrt(degree_hat[i] * degree_hat[j])
-over each node's neighbourhood plus itself.
+over each node's neighbourhood plus itself, built directly in the model's
+dtype as one rounding of the float64 products.
 """
 
 from __future__ import annotations
@@ -45,14 +46,34 @@ def _as_feature_matrix(x) -> np.ndarray:
         raise ValueError(f"feature matrix must be 2-d, got shape {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("feature matrix needs at least one row")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite feature value")
     return x
 
 
+# Squared norms in [2**-511, 2**511] keep every product |x_i|^2 |x_j|^2 a
+# normal float and every dot product finite.
+_SQ_LOW, _SQ_HIGH = 2.0**-511, 2.0**511
+
+
 def _raw_cosine(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared row norms and unclamped similarities, 0 wherever a norm is 0."""
+    """Squared row norms and unclamped similarities, 0 wherever a norm is 0.
+
+    A nonzero row whose squared norm is outside [2**-511, 2**511] is first
+    scaled, exactly, by the power of two that brings its largest magnitude
+    into [0.5, 1); the other rows of a contiguous ``x`` keep their bits.
+    """
     sq = np.einsum("ij,ij->i", x, x)
+    low = sq.min()
+    if not (low >= _SQ_LOW and sq.max() <= _SQ_HIGH):  # O(n); an underflow gives 0, an overflow inf
+        out = (sq < _SQ_LOW) | (sq > _SQ_HIGH)
+        peak = np.abs(x[out]).max(axis=1)  # 0 for a zero row, which stays as it is
+        if peak.any():
+            shift = np.zeros((len(x), 1), dtype=np.int32)
+            shift[out, 0] = -np.frexp(peak)[1]
+            x = np.ldexp(x, shift)  # a new array: the caller's rows are untouched
+            sq = np.einsum("ij,ij->i", x, x)
+            low = sq.min()
     # sqrt of the product (not product of sqrts): one rounding step, so
     # integer-valued collinear pairs come out exactly 1
     denom = np.multiply.outer(sq, sq)
@@ -60,8 +81,7 @@ def _raw_cosine(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sim = x @ x.T
     if not (x.flags.c_contiguous or x.flags.f_contiguous):  # see cosine_similarity_matrix
         sim = np.triu(sim) + np.triu(sim, 1).T
-    low = sq.min()
-    if low * low > 0.0:  # the smallest entry of denom is sqrt(low * low)
+    if low > 0.0:  # then every entry of denom is at least 2**-511
         return sq, np.divide(sim, denom, out=sim)
     return sq, np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 0.0)
 
@@ -91,29 +111,32 @@ def build_cosine_graph(x, gamma: float) -> Graph:
         raise ValueError(f"gamma must lie in (-1, 1], got {gamma}")
     x = _as_feature_matrix(x)
     adjacency = _raw_cosine(x)[1] >= gamma
-    np.fill_diagonal(adjacency, False)
-    return Graph(adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
+    adjacency.reshape(-1)[:: len(x) + 1] = False  # the diagonal, as a strided view
+    return Graph(adjacency, 1.0 + adjacency.sum(axis=1, dtype=np.float64))
 
 
 def build_temporal_graph(x) -> Graph:
     """Chain graph: frame i is connected to frames i-1 and i+1."""
     x = _as_feature_matrix(x)
     adjacency = np.eye(len(x), k=1, dtype=bool) | np.eye(len(x), k=-1, dtype=bool)
-    return Graph(adjacency, 1.0 + np.count_nonzero(adjacency, axis=1))
+    return Graph(adjacency, 1.0 + adjacency.sum(axis=1, dtype=np.float64))
 
 
-def norm_coefficients(g: Graph, include_self: bool = True) -> np.ndarray:
+def norm_coefficients(g: Graph, include_self: bool = True, dtype=np.float64) -> np.ndarray:
     """Aggregation coefficients c[i, j] = 1 / sqrt(degree_hat[i] * degree_hat[j]).
 
     Nonzero on the adjacency support and, when ``include_self`` (the
     default), on the diagonal, so that aggregation runs over each node's
-    neighbourhood plus the node itself. Returned dense; off-support entries
-    are exactly zero.
+    neighbourhood plus the node itself. Returned dense in ``dtype``; each
+    entry is the float64 product rounded once, so a float32 result has the
+    bits of the float64 one cast. Off-support entries are exactly zero.
     """
     inv_sqrt = 1.0 / np.sqrt(g.degree_hat)
-    coeffs = np.multiply.outer(inv_sqrt, inv_sqrt) * g.adjacency
+    n = len(inv_sqrt)
+    coeffs = np.multiply.outer(inv_sqrt, inv_sqrt, out=np.empty((n, n), dtype=dtype))
+    coeffs *= g.adjacency
     if include_self:
-        np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
+        coeffs.reshape(-1)[:: n + 1] = inv_sqrt * inv_sqrt
     return coeffs
 
 

@@ -7,9 +7,11 @@ Training cuts each batch, in ascending utterance order, into consecutive
 runs of graphs, runs one padded forward and backward per run, sums the
 per-graph gradients in that order, averages them, and takes one Adam step
 per batch, in place; one ``train`` call's batches and validation passes share
-one ``Workspace``. Cross-validation holds out one speaker per fold for testing
-plus the lexicographically next speaker for validation-based selection of the
-layer count and similarity threshold.
+one ``Workspace``. Aggregation coefficients are built in the model dtype, one
+rounding of each float64 product, so neither ``prepare_graphs`` nor
+``evaluate`` casts them. Cross-validation holds out one speaker per fold for
+testing plus the lexicographically next speaker for validation-based
+selection of the layer count and similarity threshold.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -212,19 +216,19 @@ class Metrics:
 
 def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     confusion = np.asarray(confusion, dtype=np.int64)
-    total = int(confusion.sum())
+    rows = confusion.tolist()  # Python ints: cheaper than numpy's calls on a small matrix
+    hits = [row[i] for i, row in enumerate(rows)]
+    total = sum(map(sum, rows))
     if total == 0:
         raise ValueError("empty confusion matrix")
-    wa = float(np.trace(confusion) / total)
-    row_sums = confusion.sum(axis=1)
-    present = row_sums > 0
-    recalls = confusion.diagonal()[present] / row_sums[present]
-    ua = float(recalls.mean())
-    return Metrics(confusion, wa, ua)
+    recalls = [hit / n for hit, n in zip(hits, map(sum, rows)) if n > 0]
+    # the bits of numpy's mean: left to right below 8 terms, pairwise from 8 on
+    ua = reduce(add, recalls) / len(recalls) if len(recalls) < 8 else float(np.mean(recalls))
+    return Metrics(confusion, sum(hits) / total, ua)
 
 
 # ---------------------------------------------------------------------------
-# graph preparation (features + aggregation coefficients, cast once)
+# graph preparation (features + aggregation coefficients in the model dtype)
 
 
 @dataclass(frozen=True)
@@ -242,11 +246,12 @@ def prepare_graphs(
     config: ModelConfig,
     stats: StandardizeStats | None = None,
 ) -> list[PreparedGraph]:
-    """Build one graph per utterance, every array cast into one block of the model dtype.
+    """Build one graph per utterance, every array copied into one block of the model dtype.
 
     With ``stats`` each utterance is standardized just before its graph is
     built, as ``apply_standardizer`` would, so no standardized copy of the
-    dataset is kept. All of the call's ``x`` and ``coeffs`` are C-contiguous
+    dataset is kept. The coefficients come in the model dtype, so only the
+    features are cast. All of the call's ``x`` and ``coeffs`` are C-contiguous
     views into one array, which is freed with the last of them.
     """
     size = sum(u.features.size + len(u.features) ** 2 for u in dataset.utterances)
@@ -256,7 +261,7 @@ def prepare_graphs(
         views = []
         for value in (x, coeffs):
             view = block[start : start + value.size].reshape(value.shape)
-            view[...] = value  # cast straight into the block
+            view[...] = value  # x is cast straight into the block
             start += value.size
             views.append(view)
         graphs.append(PreparedGraph(utt.id, *views, utt.label))
@@ -265,7 +270,10 @@ def prepare_graphs(
 
 def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig,
                   stats: StandardizeStats | None = None):
-    """Per utterance, in order: it, its (standardized) features and its float64 coefficients."""
+    """Per utterance, in order: it, its (standardized) features and its coefficients.
+
+    The coefficients are built in the model dtype; the features stay float64.
+    """
     if graph_kind not in GRAPH_KINDS:
         raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
     if stats is not None:
@@ -273,7 +281,7 @@ def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: Model
     for utt in dataset.utterances:
         x = utt.features if stats is None else stats.standardize(utt.features)
         g = build_cosine_graph(x, gamma) if graph_kind == "cosine" else build_temporal_graph(x)
-        yield utt, x, norm_coefficients(g, include_self=config.self_in_aggregation)
+        yield utt, x, norm_coefficients(g, config.self_in_aggregation, config.np_dtype)
 
 
 def _groups(graphs):
@@ -305,9 +313,9 @@ def _padded(run: list[PreparedGraph]):
     if len(run) == 1:
         return run[0].x[None], run[0].coeffs[None], None, labels
     n_nodes = np.array([pg.x.shape[0] for pg in run])
-    n_max, dt = n_nodes.max(), run[0].x.dtype
-    x = np.zeros((len(run), n_max, run[0].x.shape[1]), dtype=dt)
-    coeffs = np.zeros((len(run), n_max, n_max), dtype=dt)
+    n_max = n_nodes.max()
+    x = np.zeros((len(run), n_max, run[0].x.shape[1]), dtype=run[0].x.dtype)
+    coeffs = np.zeros((len(run), n_max, n_max), dtype=run[0].coeffs.dtype)
     for b, (pg, n) in enumerate(zip(run, n_nodes)):
         x[b, :n] = pg.x
         coeffs[b, :n, :n] = pg.coeffs
@@ -315,11 +323,12 @@ def _padded(run: list[PreparedGraph]):
 
 
 def _evaluate_groups(params: ModelParams, config: ModelConfig, groups, workspace=None) -> Metrics:
-    confusion = np.zeros((config.num_classes, config.num_classes), dtype=np.int64)
+    confusion = [[0] * config.num_classes for _ in range(config.num_classes)]
     for x, coeffs, n_nodes, labels in groups:
         _, probs, _ = forward_arrays(params, config, x, coeffs, mode="eval", n_nodes=n_nodes,
                                      workspace=workspace)
-        np.add.at(confusion, (labels, probs.argmax(axis=-1)), 1)
+        for label, pred in zip(labels.tolist(), probs.argmax(axis=-1).tolist()):
+            confusion[label][pred] += 1
     return metrics_from_confusion(confusion)
 
 
@@ -333,13 +342,13 @@ def evaluate(
     """Argmax prediction per utterance on an (already standardized) dataset.
 
     Graphs are built as ``_groups`` cuts its runs, so a run's graphs are freed
-    before the next run is evaluated, not held for the whole dataset.
+    before the next run is evaluated, not held for the whole dataset. Nothing
+    is cast here: the coefficients come in the model dtype, and
+    ``forward_arrays`` casts the float64 features.
     """
     if not dataset.utterances:
         raise ValueError("empty dataset")
-    dt = config.np_dtype
-    graphs = (PreparedGraph(utt.id, np.ascontiguousarray(x, dtype=dt),
-                            np.ascontiguousarray(coeffs, dtype=dt), utt.label)
+    graphs = (PreparedGraph(utt.id, x, coeffs, utt.label)
               for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config))
     return _evaluate_groups(params, config, _groups(graphs))
 

@@ -2,6 +2,7 @@
 oracle, and the similarity range law. The other graph laws live in acceptance
 criterion 3."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,25 +35,31 @@ def brute_force_cosine(x):
 small_matrices = st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
 
+# The same with each row scaled by its own 10**k, k in [-203, 197], so that
+# row magnitudes run from about 1e-200 to 1e200.
+scaled_matrices = small_matrices.flatmap(lambda x: arrays(
+    np.int64, (len(x), 1), elements=st.integers(-203, 197)).map(lambda k: x * 10.0**k))
+
+# Rows whose squares underflow or overflow: [1e-160] has |x|^2 = 0 in float64,
+# 1e200 has |x|^2 = inf, and 1e100 has a finite |x|^2 whose products overflow.
+EXTREME_ROWS = np.array([[1e200, 1e199], [2e200, 2e199], [1.0, 0.1], [1e-160, 3e-161],
+                         [-1e-160, 2e-160], [1e100, -1e99], [0.0, 0.0]])
+
 
 class TestCosineSimilarity:
     @settings(max_examples=200)
-    @given(small_matrices)
+    @given(scaled_matrices)
     @example(np.array([[0.0, 0.0], [1.0, 2.0], [-2.0, -4.0]]))
     @example(np.array([[1e-109], [1e-109], [1.0]]))
+    @example(np.array([[1e-160], [1e-160], [-1e-160], [1.0]]))
+    @example(EXTREME_ROWS)
     def test_matches_brute_force(self, x):
+        # every entry, at any row magnitude; the diagonal is 1 for a nonzero row, else 0
         expected = np.clip(brute_force_cosine(x), -1.0, 1.0)
-        # Known and pinned: where |x_i|^2, |x_j|^2 or their product is below the
-        # smallest normal float (norms below about 1e-77), graph.py's quotient
-        # loses precision, down to 0 for a product that underflows, so there
-        # only the range is checked. The diagonal is 1 where |x_i|^2 > 0, else 0.
-        sq = np.einsum("ij,ij->i", x, x)
-        tiny = np.finfo(np.float64).tiny
-        known = (np.multiply.outer(sq, sq) < tiny) | (np.minimum.outer(sq, sq) < tiny)
-        np.fill_diagonal(known, False)
-        np.fill_diagonal(expected, sq > 0.0)
+        np.fill_diagonal(expected, np.any(x != 0.0, axis=1))
         sim = cosine_similarity_matrix(x)
-        np.testing.assert_allclose(sim[~known], expected[~known], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sim, expected, rtol=0.0, atol=1e-12)
+        assert np.array_equal(sim, sim.T)
 
     def test_orthogonal_rows(self):
         sim = cosine_similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -108,6 +115,17 @@ class TestCosineGraph:
         g = build_cosine_graph(np.array([[1.0, 1.0], [2.0, 2.0]]), 1.0)
         assert g.edges() == [(0, 1)]
 
+    def test_extreme_rows_keep_their_edges(self):
+        # rows 0-3 and 5 lie within 25 degrees of each other; 4 points away, 6 is zero
+        g = build_cosine_graph(EXTREME_ROWS, 0.5)
+        assert g.edges() == list(itertools.combinations([0, 1, 2, 3, 5], 2))
+
+    def test_rows_in_range_keep_their_bits_beside_rescaled_rows(self):
+        x = np.random.default_rng(4).standard_normal((9, 5))
+        wide = np.vstack([x, [[1e200] * 5], [[1e-160] * 5]])
+        assert np.array_equal(cosine_similarity_matrix(wide)[:9, :9], cosine_similarity_matrix(x))
+        assert wide[-2, 0] == 1e200 and wide[-1, 0] == 1e-160  # rescaled in a copy
+
 
 class TestTemporalGraph:
     def test_chain_of_four(self):
@@ -162,17 +180,21 @@ def parent_similarity(x):
     return sim
 
 
-def parent_cosine_graph(x, gamma, include_self):
-    """The old threshold and coefficients on ``parent_similarity``:
-    where(adjacency, outer, 0) with the diagonal filled."""
-    adjacency = parent_similarity(x) >= gamma
-    np.fill_diagonal(adjacency, False)
-    degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
+def parent_coefficients(adjacency, degree_hat, include_self):
+    """The old float64 coefficients: where(adjacency, outer, 0) with the diagonal filled."""
     inv_sqrt = 1.0 / np.sqrt(degree_hat)
     coeffs = np.where(adjacency, np.outer(inv_sqrt, inv_sqrt), 0.0)
     if include_self:
         np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
-    return adjacency, degree_hat, coeffs
+    return coeffs
+
+
+def parent_cosine_graph(x, gamma, include_self):
+    """The old threshold and coefficients on ``parent_similarity``."""
+    adjacency = parent_similarity(x) >= gamma
+    np.fill_diagonal(adjacency, False)
+    degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
+    return adjacency, degree_hat, parent_coefficients(adjacency, degree_hat, include_self)
 
 
 def oracle_inputs():
@@ -225,15 +247,24 @@ def test_temporal_graph_matches_parent_formulas_bytewise():
         idx = np.arange(n - 1)
         adjacency[idx, idx + 1] = adjacency[idx + 1, idx] = True
         degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
-        inv_sqrt = 1.0 / np.sqrt(degree_hat)
         g = build_temporal_graph(np.ones((n, 2)))
         assert g.adjacency.tobytes() == adjacency.tobytes()
         assert g.degree_hat.tobytes() == degree_hat.tobytes()
         for include_self in (True, False):
-            coeffs = np.where(adjacency, np.outer(inv_sqrt, inv_sqrt), 0.0)
-            if include_self:
-                np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
+            coeffs = parent_coefficients(adjacency, degree_hat, include_self)
             assert norm_coefficients(g, include_self).tobytes() == coeffs.tobytes()
+
+
+@settings(max_examples=150)
+@given(small_matrices, st.sampled_from([-0.5, 0.0, 0.5, 0.55, 0.6, 1.0]), st.booleans(),
+       st.sampled_from(["cosine", "temporal"]))
+def test_float32_coefficients_are_the_float64_formula_cast(x, gamma, include_self, kind):
+    # built in float32 straight away: one rounding of each float64 product
+    g = build_cosine_graph(x, gamma) if kind == "cosine" else build_temporal_graph(x)
+    expected = parent_coefficients(g.adjacency, g.degree_hat, include_self).astype(np.float32)
+    actual = norm_coefficients(g, include_self, dtype=np.float32)
+    assert actual.dtype == np.float32 and actual.flags.c_contiguous
+    assert actual.tobytes() == expected.tobytes()
 
 
 class TestExports:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cogcn import (
@@ -279,6 +279,23 @@ class TestMetrics:
         m = metrics_from_confusion(np.array([np.bincount(row, minlength=len(preds))
                                              for row in preds]))
         assert m.wa == pytest.approx(m.ua, abs=1e-12)
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 9).flatmap(
+        lambda c: arrays(np.int64, (c, c), elements=st.integers(0, 1000))).filter(np.any))
+    @example(np.arange(1, 65).reshape(8, 8) * 7 % 11)  # 8 classes, every one present
+    @example(np.arange(81).reshape(9, 9) % 13 + np.eye(9, dtype=int))  # 9 present
+    @example(np.diag([0, 3, 0, 5, 0, 7, 0, 9, 1]))  # 5 of 9 present
+    def test_matches_numpy_formula_bitwise(self, confusion):
+        # numpy's mean sums 8 or more recalls pairwise: those must keep its order
+        wa = float(np.trace(confusion) / confusion.sum())
+        row_sums = confusion.sum(axis=1)
+        present = row_sums > 0
+        ua = float((confusion.diagonal()[present] / row_sums[present]).mean())
+        for given_as in (confusion, confusion.tolist()):
+            m = metrics_from_confusion(given_as)
+            assert (m.wa.hex(), m.ua.hex()) == (wa.hex(), ua.hex())
+            assert m.confusion.dtype == np.int64 and np.array_equal(m.confusion, confusion)
 
 
 def small_corpus(seed=0, noise=0.0, sep=6.0, speakers=4):

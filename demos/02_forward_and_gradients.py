@@ -32,7 +32,7 @@ print("\nstage shapes:")
 print("  h0 (pre-layer)   ", cache.hs[0][0].shape)
 for k in range(config.num_layers):
     print(f"  h{k + 1} (mp layer {k}, skip={cache.skips[k]})", cache.hs[k + 1][0].shape)
-print("  readout          ", cache.h_graph[0].shape)
+print("  readout          ", cache.h_dropped[0].shape)
 print("  probs            ", np.round(probs, 4), "sum", probs.sum())
 
 # Permutation invariance: shuffling node order leaves the prediction alone.

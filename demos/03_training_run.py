@@ -14,7 +14,6 @@ from cogcn import (
     SynthSpec,
     TrainConfig,
     apply_standardizer,
-    best_epoch,
     evaluate,
     fit_standardizer,
     prepare_graphs,
@@ -51,7 +50,7 @@ params, history = train(
 print("\nepoch  train_loss  val_wa  val_ua")
 for s in history[::5]:
     print(f"{s.epoch:5d}  {s.train_loss:10.4f}  {s.val_wa:6.3f}  {s.val_ua:6.3f}")
-best = history[best_epoch(history)]
+best = max(history, key=lambda s: s.val_ua)  # the first best epoch, as train keeps
 print(f"\nbest validation epoch: {best.epoch} (ua {best.val_ua:.3f})")
 
 metrics = evaluate(params, config, std.subset_speakers([test_speaker]),

@@ -27,7 +27,6 @@ from .graph import (
     cosine_similarity_matrix,
     export_dot,
     export_graph_json,
-    graph_to_json_dict,
     norm_coefficients,
 )
 from .model import (
@@ -54,7 +53,6 @@ from .training import (
     TrainConfig,
     adam_step,
     backward,
-    best_epoch,
     cross_entropy_from_logits,
     evaluate,
     init_adam_state,

@@ -17,6 +17,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .features import (
     DataError,
@@ -92,6 +94,18 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, started: floa
     write_text_atomic(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
+def _claim_output(path: str, empty: bool = False) -> Path:
+    """The ``-o`` directory, checked before any data is read: no part of the
+    path may be a file, and with ``empty`` it must not hold anything yet."""
+    out = Path(path)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ValueError(f"{out}: not usable as an output directory ({blocker} is not a directory)")
+    if empty and out.exists() and any(out.iterdir()):
+        raise DataError(f"{out}: output directory is not empty (pass --force)")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -109,9 +123,7 @@ def cmd_synth(args) -> int:
         cluster_sep=args.sep,
         seed=args.seed,
     )
-    out = Path(args.out)
-    if out.exists() and any(out.iterdir()) and not args.force:
-        raise DataError(f"{out}: output directory is not empty (pass --force)")
+    out = _claim_output(args.out, empty=not args.force)
     dataset = synth_dataset(spec)
     save_dataset(dataset, out, force=True)
     _write_run_manifest(out, "synth", asdict(spec), started,
@@ -150,9 +162,9 @@ def _train_config(args, dataset) -> TrainConfig:
 
 def cmd_train(args) -> int:
     started = time.time()
+    out = _claim_output(args.out)
     dataset = load_dataset(args.data)
     tc = _train_config(args, dataset)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.holdout:
@@ -201,6 +213,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
+    out = args.out and _claim_output(args.out)
     ckpt = load_checkpoint(Path(args.ckpt))
     dataset = load_dataset(args.data, class_names=ckpt.class_names)
     if dataset.d != ckpt.config.in_dim:
@@ -209,8 +222,6 @@ def cmd_eval(args) -> int:
         )
     if args.speaker:
         dataset = dataset.subset_speakers([args.speaker])
-    if ckpt.standardizer is not None:
-        dataset = apply_standardizer(dataset, ckpt.standardizer)
 
     gamma = args.gamma if args.gamma is not None else ckpt.train_meta.get("gamma")
     graph_kind = args.graph or ckpt.train_meta.get("graph_kind")
@@ -218,7 +229,14 @@ def cmd_eval(args) -> int:
         raise DataError(
             "checkpoint carries no graph settings; pass --graph (and --gamma for cosine)"
         )
-    metrics = evaluate(ckpt.params, ckpt.config, dataset, gamma or 0.0, graph_kind)
+    try:  # finite weights or statistics can still overflow on this data
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if ckpt.standardizer is not None:
+                dataset = apply_standardizer(dataset, ckpt.standardizer)
+            metrics = evaluate(ckpt.params, ckpt.config, dataset, gamma or 0.0, graph_kind)
+    except FloatingPointError as exc:
+        raise DataError(f"{args.ckpt}: checkpoint gives non-finite numbers on this data "
+                        f"({exc})") from exc
 
     payload = {
         "wa": metrics.wa,
@@ -227,8 +245,7 @@ def cmd_eval(args) -> int:
         "n_utterances": int(metrics.confusion.sum()),
         "class_names": list(ckpt.class_names),
     }
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out / "eval_metrics.json", json.dumps(payload, indent=2) + "\n")
         _write_run_manifest(
@@ -248,6 +265,7 @@ def cmd_eval(args) -> int:
 
 def cmd_graph(args) -> int:
     started = time.time()
+    out = _claim_output(args.out)
     dataset = load_dataset(args.data)
     utt = dataset.by_id(args.utt)
     if args.temporal:
@@ -258,7 +276,6 @@ def cmd_graph(args) -> int:
             raise ValueError("pass --gamma GAMMA or --temporal")
         g = build_cosine_graph(utt.features, args.gamma)
         kind = {"graph_kind": "cosine", "gamma": args.gamma}
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_dot(g, out / f"{utt.id}.dot")
     export_graph_json(g, out / f"{utt.id}.json")

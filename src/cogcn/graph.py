@@ -149,13 +149,8 @@ def export_dot(g: Graph, path: str | Path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def graph_to_json_dict(g: Graph) -> dict:
-    return {
-        "n": g.n_nodes,
-        "edges": [[i, j] for i, j in g.edges()],
-        "degree_hat": g.degree_hat.tolist(),
-    }
-
-
 def export_graph_json(g: Graph, path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(graph_to_json_dict(g)) + "\n")
+    """Write the graph as JSON: node count ``n``, ``edges`` as in ``edges()``, ``degree_hat``."""
+    obj = {"n": g.n_nodes, "edges": [[i, j] for i, j in g.edges()],
+           "degree_hat": g.degree_hat.tolist()}
+    write_text_atomic(path, json.dumps(obj) + "\n")

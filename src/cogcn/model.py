@@ -161,9 +161,8 @@ class ForwardCache:
     aggs: list  # coeffs @ h_k per layer
     mp_preacts: list  # agg_k @ W_msg[k].T per layer
     skips: list  # whether the skip was applied at each layer
-    h_graph: np.ndarray
     dropout_mask: np.ndarray | None  # None in eval mode
-    h_dropped: np.ndarray
+    h_dropped: np.ndarray  # the readout, with dropout in train mode
     logits: np.ndarray
     probs: np.ndarray
     mode: str
@@ -351,7 +350,6 @@ def forward_arrays(
         aggs=aggs,
         mp_preacts=mp_preacts,
         skips=skips,
-        h_graph=h_graph,
         dropout_mask=dropout_mask,
         h_dropped=h_dropped,
         logits=logits,
@@ -396,39 +394,31 @@ def save_checkpoint(
     Floats are printed with shortest round-trip repr, so float64 checkpoints
     reload bit-exactly. ``standardizer`` and ``train_meta`` (e.g. the graph
     kind and threshold used in training) make the file sufficient for
-    standalone evaluation.
-
-    The text is ``json.dumps`` of the whole object, but each array is encoded
-    on its own, so only one array's Python floats are alive at a time.
+    standalone evaluation. The text is one ``json.dumps`` of the whole object.
     """
-    def array(a):
-        return "null" if a is None else json.dumps(a.tolist())
-
-    params_text = _json_object([
-        ("W_p", array(params.w_pre)),
-        ("b_p", array(params.b_pre)),
-        ("W_e", "[" + ", ".join(array(w) for w in params.w_msg) + "]"),
-        ("W_o", array(params.w_out)),
-        ("b_o", array(params.b_out)),
-    ])
-    text = _json_object([
-        ("format_version", json.dumps(CHECKPOINT_VERSION)),
-        ("config", json.dumps(asdict(config))),
-        ("class_names", json.dumps(list(class_names))),
-        ("params", params_text),
-        ("standardizer", json.dumps(None if standardizer is None else standardizer.to_dict())),
-        ("train_meta", json.dumps(train_meta or {})),
-    ])
-    write_text_atomic(path, text + "\n")
-
-
-def _json_object(items) -> str:
-    """The ``json.dumps`` text of a dict, from its keys and its values' JSON texts."""
-    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in items) + "}"
+    obj = {
+        "format_version": CHECKPOINT_VERSION,
+        "config": asdict(config),
+        "class_names": list(class_names),
+        "params": {
+            "W_p": None if params.w_pre is None else params.w_pre.tolist(),
+            "b_p": None if params.b_pre is None else params.b_pre.tolist(),
+            "W_e": [w.tolist() for w in params.w_msg],
+            "W_o": params.w_out.tolist(),
+            "b_o": params.b_out.tolist(),
+        },
+        "standardizer": None if standardizer is None else standardizer.to_dict(),
+        "train_meta": train_meta or {},
+    }
+    write_text_atomic(path, json.dumps(obj) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; any fault in the file raises ``DataError`` naming it."""
+    """Read a checkpoint; any fault in the file raises ``DataError`` naming it.
+
+    The class names must be distinct strings, and every parameter finite
+    once cast into the model dtype.
+    """
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -444,7 +434,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params = _params_from_json(obj["params"], config)
         stats = obj.get("standardizer")
         standardizer = None if stats is None else StandardizeStats.from_dict(stats, config.in_dim)
-        class_names = tuple(obj["class_names"])
+        class_names = obj["class_names"]
+        if not (type(class_names) is list and all(type(n) is str for n in class_names)):
+            raise ValueError(f"class_names must be a list of strings, got {class_names!r}")
+        if len(set(class_names)) != len(class_names):
+            raise ValueError(f"class_names repeats a name: {class_names!r}")
+        class_names = tuple(class_names)
         if len(class_names) != config.num_classes:
             raise ValueError(f"{len(class_names)} class names for {config.num_classes} classes")
         train_meta = obj.get("train_meta") or {}
@@ -455,7 +450,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"train_meta gamma must be a number in (-1, 1], got {gamma!r}")
         if kind is not None and kind not in GRAPH_KINDS:
             raise ValueError(f"train_meta graph_kind must be one of {GRAPH_KINDS}, got {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(
         params=params,
@@ -474,13 +469,18 @@ def _params_from_json(p: dict, config: ModelConfig) -> ModelParams:
         )
     stored = {"w_pre": p["W_p"], "b_pre": p["b_p"], "w_out": p["W_o"], "b_out": p["b_o"]}
     stored.update((f"w_msg{k}", w) for k, w in enumerate(p["W_e"]))
-    params = ModelParams(config)
+    values = {}
     for name, shape, _ in param_layout(config):
-        value = np.asarray(stored.pop(name), dtype=config.np_dtype)
+        with np.errstate(over="ignore"):  # a value past the dtype's range becomes inf
+            value = values[name] = np.asarray(stored.pop(name), dtype=config.np_dtype)
         if value.shape != shape:
             raise ValueError(f"{name} has shape {value.shape}, config needs {shape}")
-        params.arrays[name][...] = value
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} holds a value that is not finite in {config.dtype}")
     extra = [name for name, value in stored.items() if value is not None]
     if extra:
         raise ValueError(f"{', '.join(extra)} present but config.use_pre is false")
+    params = ModelParams(config)  # allocated only once every shape is known to fit
+    for name, value in values.items():
+        params.arrays[name][...] = value
     return params

@@ -461,15 +461,6 @@ def _batch_gradient(
     return losses, grads
 
 
-def best_epoch(history: list[EpochStats]) -> int:
-    """Index of the first epoch attaining the best validation UA."""
-    best = max(s.val_ua for s in history)
-    for i, s in enumerate(history):
-        if s.val_ua == best:
-            return i
-    raise ValueError("empty history")
-
-
 # ---------------------------------------------------------------------------
 # leave-one-speaker-out cross-validation
 
@@ -482,7 +473,6 @@ class FoldResult:
     selected_k: int
     selected_gamma: float
     best_val_ua: float
-    best_epoch: int
     params: ModelParams
     history: list[EpochStats]
     stats: StandardizeStats
@@ -552,13 +542,12 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
             config_k = replace(tc.model, num_layers=int(k))
             tc_run = replace(tc, model=config_k, seed=fold_seed)
             params, history = train(p_train, p_val, tc_run)
-            epoch_idx = best_epoch(history)
-            rank = (history[epoch_idx].val_ua, -ki, -gi)
+            rank = (max(s.val_ua for s in history), -ki, -gi)
             if best is None or rank > best[0]:
-                best = (rank, int(k), gamma, params, history, epoch_idx, config_k)
+                best = (rank, int(k), gamma, params, history, config_k)
         del p_train, p_val
 
-    (score, _, _), sel_k, sel_gamma, params, history, epoch_idx, config_k = best
+    (score, _, _), sel_k, sel_gamma, params, history, config_k = best
     ds_test = apply_standardizer(dataset.subset_speakers([test_speaker]), stats)
     test_metrics = evaluate(params, config_k, ds_test, sel_gamma, tc.graph_kind)
     return FoldResult(
@@ -568,7 +557,6 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
         selected_k=sel_k,
         selected_gamma=sel_gamma,
         best_val_ua=score,
-        best_epoch=epoch_idx,
         params=params,
         history=history,
         stats=stats,

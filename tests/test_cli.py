@@ -1,15 +1,22 @@
 """End-to-end CLI behavior: flags, files, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cogcn
+from cogcn import DataError, load_checkpoint
 from cogcn.cli import main
 
 
@@ -420,6 +427,119 @@ class TestDiag:
             assert run(argv) == 1
             assert message in capsys.readouterr().err
         assert not (tmp_path / "jobs").exists()  # rejected before the output is made
+
+
+TINY_SYNTH = ["synth", "--classes", 2, "--speakers", 3, "--utts", 2, "--frames-lo", 4,
+              "--frames-hi", 8, "--dim", 4, "--seed", 0]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 3-speaker corpus, one fold trained on it, and a scratch directory."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert run(TINY_SYNTH + ["-o", root / "data"]) == 0
+    assert run(["train", "--data", root / "data", "--k", 1, "--gamma", 0.5, "--z", 4,
+                "--epochs", 1, "--holdout", "spk00", "-o", root / "run"]) == 0
+    return root
+
+
+def _paths(value, path=()):
+    """The path of every value nested in a JSON object, in document order."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield path + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _paths(inner, path + (key,))
+
+
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=500)
+@given(field=st.integers(0, 10**6), value=st.just(DELETE) | JSON_VALUES)
+@example(field=("class_names", 0), value=5)  # a class name that is not a string
+@example(field=("class_names", 0), value=None)
+@example(field=("class_names", 1), value="class00")  # a repeated class name
+@example(field=("params", "W_e", 0, 1, 2), value=1e308)  # past float32's range
+@example(field=("params", "W_o", 0, 0), value=float("nan"))
+@example(field=("params", "b_o", 1), value=float("inf"))
+@example(field=("config", "hidden_dim"), value=10**6)  # a model of terabytes
+@example(field=("params", "W_p", 0, 0), value=3.4e38)  # finite, but overflows in the forward
+@example(field=("standardizer", "std", 0), value=5e-324)  # overflows in standardizing
+@example(field=("params", "b_p", 0), value=10**400)  # past float64's range
+def test_mutated_checkpoint_is_scored_or_rejected(tiny_run, field, value):
+    # one field of a trained checkpoint changed or deleted: `cogcn eval` exits
+    # 0 or 2 with no exception or warning, and a checkpoint that loads has
+    # finite parameters and distinct string class names. `field` indexes the
+    # checkpoint's paths in document order; an example names its path outright
+    text = (tiny_run / "run" / "fold_spk00.json").read_text()
+    obj = json.loads(text)
+    paths = list(_paths(obj))
+    *parent, key = field if isinstance(field, tuple) else paths[field % len(paths)]
+    holder = obj
+    for step in parent:
+        holder = holder[step]
+    if value is DELETE:
+        del holder[key]
+    else:
+        holder[key] = value
+    ckpt = tiny_run / "mutated.json"
+    ckpt.write_text(json.dumps(obj))
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = run(["eval", "--ckpt", ckpt, "--data", tiny_run / "data", "--speaker", "spk01"])
+        assert code in (0, 2)
+        try:
+            loaded = load_checkpoint(ckpt)
+        except DataError as exc:
+            assert code == 2 and str(ckpt) in str(exc)
+            return
+    assert np.isfinite(loaded.params.flat).all()
+    names = loaded.class_names
+    assert all(type(n) is str for n in names) and len(set(names)) == len(names)
+
+
+OUTPUT_COMMANDS = {
+    "synth": lambda root: TINY_SYNTH,
+    "train": lambda root: ["train", "--data", root / "data", "--k", 1, "--gamma", 0.5, "--z", 4,
+                           "--epochs", 1, "--holdout", "spk00"],
+    "eval": lambda root: ["eval", "--ckpt", root / "run" / "fold_spk00.json",
+                          "--data", root / "data", "--speaker", "spk01"],
+    "graph": lambda root: ["graph", "--data", root / "data", "--utt", "spk00_u000",
+                           "--gamma", 0.5],
+}
+
+
+@given(command=st.sampled_from(sorted(OUTPUT_COMMANDS)),
+       kind=st.sampled_from(["missing", "empty", "non_empty", "file"]))
+def test_output_path_is_claimed_before_any_data_is_read(tiny_run, command, kind):
+    out = Path(tempfile.mkdtemp(dir=tiny_run)) / "out"
+    if kind == "file":
+        out.write_text("keep\n")
+    elif kind != "missing":
+        out.mkdir()
+        if kind == "non_empty":
+            (out / "keep.txt").write_text("keep\n")
+    argv = OUTPUT_COMMANDS[command](tiny_run)
+    if kind == "file":  # a usage error is found before the missing data
+        argv = [a if a != tiny_run / "data" else tiny_run / "no_data" for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv + ["-o", out])
+    if kind == "file":
+        assert code == 1 and str(out) in err.getvalue() and out.read_text() == "keep\n"
+    elif kind == "non_empty" and command == "synth":
+        assert code == 2 and [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert code == 0 and (out / "run_manifest.json").is_file()
+    if kind == "non_empty":
+        assert (out / "keep.txt").read_text() == "keep\n"
 
 
 def test_import_does_not_load_the_process_pool():

@@ -16,7 +16,6 @@ from cogcn import (
     cosine_similarity_matrix,
     export_dot,
     export_graph_json,
-    graph_to_json_dict,
     norm_coefficients,
 )
 
@@ -298,7 +297,6 @@ class TestExports:
         export_graph_json(g, path)
         obj = json.loads(path.read_text())
         assert obj == {"n": 3, "edges": [[0, 1], [1, 2]], "degree_hat": [2.0, 3.0, 2.0]}
-        assert obj == graph_to_json_dict(g)
 
 
 class TestGraphLaws:

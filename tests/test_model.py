@@ -203,7 +203,7 @@ class TestStages:
     def test_readout_mean(self):
         cfg, params = identity_params(2, 1, 2, use_pre=False, use_skip=False)
         cache = hidden_states(cfg, params, [[1.0, 2.0], [3.0, 4.0]], np.eye(2))
-        np.testing.assert_array_equal(cache.h_graph[0], [2.0, 3.0])
+        np.testing.assert_array_equal(cache.h_dropped[0], [2.0, 3.0])
 
     def test_readout_constant_rows(self):
         cfg = config64()
@@ -211,7 +211,7 @@ class TestStages:
         x = np.tile([5.0, -1.0, 0.5, 2.0], (4, 1))
         cache = hidden_states(cfg, params, x, np.full((4, 4), 0.25))
         np.testing.assert_array_equal(cache.hs[-1][0], np.tile(cache.hs[-1][0][0], (4, 1)))
-        np.testing.assert_allclose(cache.h_graph[0], cache.hs[-1][0][0], atol=1e-15)
+        np.testing.assert_allclose(cache.h_dropped[0], cache.hs[-1][0][0], atol=1e-15)
 
     def test_readout_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -222,7 +222,7 @@ class TestStages:
         perm = rng.permutation(6)
         a = hidden_states(cfg, params, x, coeffs)
         b = hidden_states(cfg, params, x[perm], coeffs[np.ix_(perm, perm)])
-        np.testing.assert_allclose(a.h_graph[0], b.h_graph[0], atol=1e-15)
+        np.testing.assert_allclose(a.h_dropped[0], b.h_dropped[0], atol=1e-15)
 
 
 class TestClassify:

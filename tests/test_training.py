@@ -17,7 +17,6 @@ from cogcn import (
     adam_step,
     apply_standardizer,
     backward,
-    best_epoch,
     build_cosine_graph,
     build_temporal_graph,
     cross_entropy_from_logits,
@@ -364,15 +363,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="input width 6"):
             train(p_train, p_val, narrow)
 
-    def test_best_epoch_ties_take_earliest(self):
-        from cogcn import EpochStats
-
-        history = [
-            EpochStats(1, 0.5, 0.8, 0.7),
-            EpochStats(2, 0.4, 0.9, 0.9),
-            EpochStats(3, 0.3, 0.9, 0.9),
-        ]
-        assert best_epoch(history) == 1
+    def test_ties_keep_the_earliest_best_epochs_params(self):
+        # a run cut at the first best epoch takes the same steps up to there
+        # and ends on that epoch's parameters, so a run that keeps a later
+        # epoch of equal validation UA returns other bits
+        p_train, p_val = self._split()
+        tc = self._tc(epochs=12, batch_size=4, lr=3e-3)
+        params, history = train(p_train, p_val, tc)
+        first = max(history, key=lambda s: s.val_ua)
+        assert first.val_ua in [s.val_ua for s in history[first.epoch:]]
+        cut, _ = train(p_train, p_val, replace(tc, epochs=first.epoch))
+        assert params.flat.tobytes() == cut.flat.tobytes()
 
     def test_history_csv_schema(self, tmp_path):
         p_train, p_val = self._split()
@@ -458,7 +459,7 @@ class TestEvaluate:
                           dtype="float64")
         tc = TrainConfig(model=cfg, epochs=40, batch_size=4, lr=3e-3, seed=0)
         params, history = train(prepared(train_ds, cfg), prepared(val_ds, cfg), tc)
-        best = history[best_epoch(history)]
+        best = max(history, key=lambda s: s.val_ua)
         m = evaluate(params, cfg, val_ds, 0.5, "cosine")
         assert m.ua == best.val_ua and m.wa == best.val_wa
         assert m.wa == 1.0 and m.ua == 1.0  # corpus is cleanly separable

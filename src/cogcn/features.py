@@ -3,7 +3,8 @@
 A dataset is a collection of utterances; each utterance carries an (n, d)
 matrix of per-frame feature vectors (one row per analysis frame, e.g. the
 88 eGeMAPS descriptors), a class label, and a speaker id. On disk a dataset
-is a JSON Lines manifest plus one CSV feature file per utterance.
+is a JSON Lines manifest plus one feature file per utterance: the binary
+``.npy`` matrix ``save_dataset`` writes, or a CSV (e.g. an extractor's output).
 
 The synthetic generator produces deterministic corpora in which voiced frames
 cluster per class (with a small per-speaker shift) while a configurable
@@ -13,7 +14,10 @@ distribution. It is the canonical desk-scale test corpus.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn
@@ -152,11 +156,11 @@ class StandardizeStats:
 # loading / saving
 
 
-def _read_text(path: Path, what: str) -> str:
-    """A manifest's or feature file's text; a file that is missing, cannot
-    be read or is not UTF-8 raises a ``DataError`` naming it."""
+@contextmanager
+def _reading(path: Path, what: str):
+    """Raise a missing, unreadable or non-UTF-8 file as a ``DataError`` naming it."""
     try:
-        return path.read_text(encoding="utf-8")
+        yield
     except FileNotFoundError as exc:
         raise DataError(f"{path}: {what} not found") from exc
     except OSError as exc:
@@ -164,6 +168,12 @@ def _read_text(path: Path, what: str) -> str:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {what} is not UTF-8: byte {exc.start} is "
                         f"0x{exc.object[exc.start]:02x}") from exc
+
+
+def _read_text(path: Path, what: str) -> str:
+    """A manifest's or feature file's text."""
+    with _reading(path, what):
+        return path.read_text(encoding="utf-8")
 
 
 def _read_feature_csv(path: Path) -> np.ndarray:
@@ -193,6 +203,35 @@ def _read_feature_csv(path: Path) -> np.ndarray:
     if index[0] != 0 or np.any(index[1:] <= index[:-1]) or not np.isfinite(values).all():
         _locate_fault(path, body, d, None)
     return np.ascontiguousarray(values)
+
+
+def _read_feature_npy(path: Path) -> np.ndarray:
+    """One utterance's (n, d) frames from a ``.npy`` file, as native C-ordered float64.
+
+    The header is checked before any data is read: a 2-D float64 array, of
+    either byte order, whose values fill the rest of the file exactly. So
+    nothing is unpickled, and a header that claims more rows than the file
+    holds allocates nothing. A fault is a ``DataError`` naming the file.
+    """
+    with _reading(path, "feature file"), path.open("rb") as file:
+        try:
+            # np.save writes version 2.0 only for headers of more than 64 KiB
+            if (version := np.lib.format.read_magic(file)) != (1, 0):
+                raise ValueError(f"format version {version} is not 1.0")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(file)
+            if len(shape) != 2 or min(shape) < 0 or dtype.newbyteorder("=") != np.float64:
+                raise ValueError(f"found a {len(shape)}-D {dtype} array of shape {shape}")
+            needed, held = shape[0] * shape[1] * 8, os.fstat(file.fileno()).st_size - file.tell()
+            if held != needed:
+                raise ValueError(f"shape {shape} needs {needed} bytes, the file holds {held}")
+        except ValueError as exc:
+            raise DataError(f"{path}: need a .npy file of one 2-D float64 array: {exc}") from exc
+        values = np.fromfile(file, dtype=dtype, count=shape[0] * shape[1])
+    features = np.ascontiguousarray(values.reshape(shape, order="F" if fortran else "C"), np.float64)
+    if not np.isfinite(features).all():
+        row = np.argmin(np.isfinite(features).all(axis=1))
+        raise DataError(f"{path}: row {row}: non-finite feature value")
+    return features
 
 
 def _locate_fault(path: Path, body: list[str], d: int, exc: ValueError | None) -> NoReturn:
@@ -233,6 +272,7 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
 
     Each manifest line is an object with string values for the keys id,
     path (relative to the manifest), label, speaker, and optional session.
+    A path ending in ``.npy`` is read as a binary matrix, any other as CSV.
     When ``class_names`` is given the manifest labels must be drawn from it;
     otherwise the sorted set of label strings defines the classes.
     """
@@ -276,11 +316,13 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
                 f"(classes: {', '.join(class_names)})"
             )
         path = manifest_path.parent / entry["path"]
-        feats = _read_feature_csv(path)
+        npy = path.suffix == ".npy"
+        feats = _read_feature_npy(path) if npy else _read_feature_csv(path)
         if feats.shape[0] == 0:
             raise DataError(f"{entry['path']}: empty utterance (no frame rows)")
         if feats.shape[1] == 0:
-            raise DataError(f"{path}:1: the header names no feature column")
+            raise DataError(f"{path}: the array has no feature column" if npy
+                            else f"{path}:1: the header names no feature column")
         if d is None:
             d = feats.shape[1]
         elif feats.shape[1] != d:
@@ -301,9 +343,10 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
 
 
 def feature_csv_text(features: np.ndarray) -> str:
-    """One utterance's feature file: header, then one row per frame.
+    """One utterance's features as CSV text: header, then one row per frame.
 
     Floats are printed with shortest round-trip repr, so reading is exact.
+    ``cogcn graph`` exports it for people to read; datasets are saved as ``.npy``.
     """
     header = "frame_index," + ",".join(f"f{i}" for i in range(features.shape[1]))
     rows = [
@@ -314,11 +357,11 @@ def feature_csv_text(features: np.ndarray) -> str:
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> Path:
-    """Write manifest.jsonl plus one feature CSV ``{id}.csv`` per utterance.
+    """Write manifest.jsonl plus one float64 ``.npy`` matrix ``{id}.npy`` per utterance.
 
     Every id must be a plain file name (no path separator, not ``.`` or
-    ``..``); this is checked before anything is written. Save/load is exact.
-    Returns the manifest path.
+    ``..``); this is checked before anything is written. Save/load is exact
+    for float64 features. Returns the manifest path.
     """
     out_dir = Path(out_dir)
     for utt in dataset.utterances:
@@ -330,8 +373,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> 
 
     manifest_lines = []
     for utt in dataset.utterances:
-        fname = f"{utt.id}.csv"
-        write_text_atomic(out_dir / fname, feature_csv_text(utt.features))
+        fname = f"{utt.id}.npy"
+        buffer = io.BytesIO()
+        np.save(buffer, np.ascontiguousarray(utt.features, dtype=np.float64))
+        write_text_atomic(out_dir / fname, buffer.getvalue())
         manifest_lines.append(
             json.dumps(
                 {

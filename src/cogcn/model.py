@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -47,6 +47,9 @@ from .graph import GRAPH_KINDS
 from .util import substream, write_text_atomic
 
 CHECKPOINT_VERSION = 1
+# The JSON types a checkpoint may hold for each type of ``ModelConfig`` field:
+# a bool is no int, and an int or a string no bool
+_JSON_TYPES = {"int": {int}, "bool": {bool}, "float": {int, float}, "str": {str}}
 
 
 @dataclass(frozen=True)
@@ -416,8 +419,9 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; any fault in the file raises ``DataError`` naming it.
 
-    The class names must be distinct strings, and every parameter finite
-    once cast into the model dtype.
+    Every field must have the JSON type ``save_checkpoint`` writes, the class
+    names must be distinct strings, and every parameter finite once cast
+    into the model dtype.
     """
     path = Path(path)
     try:
@@ -427,12 +431,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable checkpoint: {exc}") from exc
     version = obj.get("format_version") if isinstance(obj, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format_version {version}")
     try:
-        config = ModelConfig(**obj["config"])
+        config = _config_from_json(obj["config"])
         params = _params_from_json(obj["params"], config)
         stats = obj.get("standardizer")
+        if stats is not None and not all(_is_number_array(stats[k], 1) for k in ("mean", "std")):
+            raise ValueError("standardizer mean and std must be lists of JSON numbers")
         standardizer = None if stats is None else StandardizeStats.from_dict(stats, config.in_dim)
         class_names = obj["class_names"]
         if not (type(class_names) is list and all(type(n) is str for n in class_names)):
@@ -461,6 +467,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
+def _config_from_json(stored) -> ModelConfig:
+    """The checkpoint's ``config`` object as a ModelConfig, every field type checked."""
+    if type(stored) is not dict:
+        raise ValueError(f"config is not an object: {stored!r}")
+    for f in fields(ModelConfig):
+        if f.name in stored and type(stored[f.name]) not in _JSON_TYPES[f.type]:
+            raise ValueError(f"config {f.name} must be of type {f.type}, got {stored[f.name]!r}")
+    return ModelConfig(**stored)
+
+
+def _is_number_array(value, ndim: int) -> bool:
+    """Whether ``value`` is ``ndim`` levels of JSON lists around JSON numbers only."""
+    if type(value) is not list:
+        return False
+    if ndim == 1:
+        return set(map(type, value)) <= {int, float}
+    return all(_is_number_array(row, ndim - 1) for row in value)
+
+
 def _params_from_json(p: dict, config: ModelConfig) -> ModelParams:
     """Fill a ModelParams from the checkpoint's ``params`` object, shapes checked."""
     if len(p["W_e"]) != config.num_layers:
@@ -471,6 +496,8 @@ def _params_from_json(p: dict, config: ModelConfig) -> ModelParams:
     stored.update((f"w_msg{k}", w) for k, w in enumerate(p["W_e"]))
     values = {}
     for name, shape, _ in param_layout(config):
+        if not _is_number_array(stored[name], len(shape)):
+            raise ValueError(f"{name} is not a {len(shape)}-D list of JSON numbers")
         with np.errstate(over="ignore"):  # a value past the dtype's range becomes inf
             value = values[name] = np.asarray(stored.pop(name), dtype=config.np_dtype)
         if value.shape != shape:

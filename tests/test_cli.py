@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cogcn
-from cogcn import DataError, load_checkpoint
+from cogcn import DataError, load_checkpoint, load_dataset
 from cogcn.cli import main
+from cogcn.features import _read_feature_csv, feature_csv_text
 
 
 def run(argv):
@@ -189,7 +190,25 @@ class TestTrain:
         assert dir_digest(tmp_path / "r1") == dir_digest(tmp_path / "r2")
 
 
-# how each fault edits the first manifest entry (None: a file, below), and
+def npy_bytes(array, **kwargs):
+    """The bytes of ``array`` saved as a .npy file."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
+def npy_header(shape):
+    """A float64 .npy header claiming ``shape``, then 32 bytes of data."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buffer.getvalue() + bytes(32)
+
+
+NOT_NPY = "spk00_u000.npy: need a .npy file of one 2-D float64 array: "
+
+# how each fault edits the first manifest entry: a function of it, or a
+# feature file (name, bytes) that the entry is pointed at (None: below); and
 # what `cogcn train` must say about it, naming the file
 BAD_INPUTS = {
     "not_an_object": (lambda e: 5, "manifest.jsonl:1: expected a JSON object, got int"),
@@ -202,8 +221,28 @@ BAD_INPUTS = {
     "path_is_directory": (lambda e: {**e, "path": "."},
                           "tiny: cannot read feature file: Is a directory"),
     "manifest_not_utf8": (None, "manifest.jsonl: manifest is not UTF-8: byte 0 is 0xff"),
-    "features_not_utf8": (None, "spk00_u000.csv: feature file is not UTF-8: byte 0 is 0xff"),
-    "header_only_index": (None, "spk00_u000.csv:1: the header names no feature column"),
+    "features_not_utf8": (("spk00_u000.csv", b"\xff\n"),
+                          "spk00_u000.csv: feature file is not UTF-8: byte 0 is 0xff"),
+    "header_only_index": (("spk00_u000.csv", b"frame_index\n0\n"),
+                          "spk00_u000.csv:1: the header names no feature column"),
+    "npy_truncated": (("spk00_u000.npy", npy_bytes(np.ones((4, 4)))[:-8]),
+                      NOT_NPY + "shape (4, 4) needs 128 bytes, the file holds 120"),
+    "npy_header_claims_1e11_rows": (("spk00_u000.npy", npy_header((10**11, 4))),
+                                    NOT_NPY + "shape (100000000000, 4) needs 3200000000000 "
+                                    "bytes, the file holds 32"),
+    "npy_float32": (("spk00_u000.npy", npy_bytes(np.ones((4, 4), np.float32))),
+                    NOT_NPY + "found a 2-D float32 array of shape (4, 4)"),
+    "npy_1d": (("spk00_u000.npy", npy_bytes(np.ones(4))),
+               NOT_NPY + "found a 1-D float64 array of shape (4,)"),
+    "npy_object": (("spk00_u000.npy",
+                    npy_bytes(np.array([[1.0, None]], dtype=object), allow_pickle=True)),
+                   NOT_NPY + "found a 2-D object array of shape (1, 2)"),
+    "npy_nan_row": (("spk00_u000.npy", npy_bytes(np.array([[0.0] * 4, [0.0, np.nan, 0, 0]]))),
+                    "spk00_u000.npy: row 1: non-finite feature value"),
+    "npy_csv_bytes": (("spk00_u000.npy", b"frame_index,f0\n0,1\n"),
+                      NOT_NPY + "the magic string is not correct"),
+    "npy_zero_columns": (("spk00_u000.npy", npy_bytes(np.ones((4, 0)))),
+                         "spk00_u000.npy: the array has no feature column"),
 }
 
 
@@ -215,17 +254,21 @@ def test_bad_input_file_is_data_error_naming_it(tmp_path, capsys, fault):
     manifest = data / "manifest.jsonl"
     edit, message = BAD_INPUTS[fault]
     first, *rest = manifest.read_text().splitlines()
-    if edit:
-        manifest.write_text("\n".join([json.dumps(edit(json.loads(first))), *rest]) + "\n")
-    elif fault == "manifest_not_utf8":
+    if edit is None:
         manifest.write_bytes(b"\xff" + manifest.read_bytes())
-    elif fault == "features_not_utf8":
-        (data / "spk00_u000.csv").write_bytes(b"\xff\n")
     else:
-        (data / "spk00_u000.csv").write_text("frame_index\n0\n")
+        if isinstance(edit, tuple):
+            name, content = edit
+            (data / name).write_bytes(content)
+            entry = {**json.loads(first), "path": name}
+        else:
+            entry = edit(json.loads(first))
+        manifest.write_text("\n".join([json.dumps(entry), *rest]) + "\n")
     capsys.readouterr()
-    assert run(["train", "--data", data, "--k", 1, "--z", 4, "--epochs", 1,
-                "-o", tmp_path / "r"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--data", data, "--k", 1, "--z", 4, "--epochs", 1,
+                    "-o", tmp_path / "r"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
 
@@ -313,6 +356,26 @@ class TestEval:
         for field in BAD_GRAPH_SETTINGS.get(fault, ()):
             assert f"train_meta {field}" in err
 
+    @pytest.mark.parametrize("field, value, named", [
+        (("config", "in_dim"), 6.0, "config in_dim"),
+        (("config", "use_pre"), 1, "config use_pre"),
+        (("config", "dropout"), False, "config dropout"),
+        (("params", "W_o", 0, 0), "1.5", "w_out"),
+        (("params", "W_e", 0, 1, 1), True, "w_msg0"),
+        (("standardizer", "std", 0), "1.0", "standardizer"),
+    ])
+    def test_field_of_another_json_type_is_named(self, tmp_path, data_dir, trained,
+                                                 field, value, named, capsys):
+        # a value numpy or ModelConfig would accept, but not of the JSON type
+        # save_checkpoint writes: the error names the file and the field
+        obj = json.loads((trained / "fold_spk00.json").read_text())
+        _replace_at(obj, field, value)
+        ckpt = tmp_path / "typed.json"
+        ckpt.write_text(json.dumps(obj))
+        assert run(["eval", "--ckpt", ckpt, "--data", data_dir, "--speaker", "spk01"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and named in err and "Traceback" not in err
+
     def test_graph_override_replaces_the_checkpoint_settings(self, data_dir, trained, capsys):
         ckpt = trained / "fold_spk00.json"
         assert json.loads(ckpt.read_text())["train_meta"]["graph_kind"] == "cosine"
@@ -369,13 +432,16 @@ class TestGraphCommand:
         assert (out / f"{utt}_features.csv").exists()
 
     def test_features_csv_matches_dataset_file(self, tmp_path, data_dir):
-        # `cogcn graph` writes the utterance's features as `save_dataset` does
+        # `cogcn graph` exports the utterance's features as CSV text, and the
+        # export reads back to the bytes of the dataset's .npy file
         entry = json.loads((data_dir / "manifest.jsonl").read_text().splitlines()[3])
         out = tmp_path / "g"
         assert run(["graph", "--data", data_dir, "--utt", entry["id"], "--gamma", 0.5,
                     "-o", out]) == 0
-        written = (out / f"{entry['id']}_features.csv").read_bytes()
-        assert written == (data_dir / entry["path"]).read_bytes()
+        export = out / f"{entry['id']}_features.csv"
+        loaded = load_dataset(data_dir).by_id(entry["id"]).features
+        assert export.read_text() == feature_csv_text(loaded)
+        assert npy_bytes(_read_feature_csv(export)) == (data_dir / entry["path"]).read_bytes()
 
     def test_unknown_utterance_lists_ids(self, tmp_path, data_dir, capsys):
         code = run(["graph", "--data", data_dir, "--utt", "nope", "--gamma",
@@ -452,7 +518,36 @@ def _paths(value, path=()):
             yield from _paths(inner, path + (key,))
 
 
+def _has_saved_types(ckpt):
+    """Whether a checkpoint object holds the JSON types ``save_checkpoint``
+    writes: int version and widths, bool flags, a numeric dropout, a string
+    dtype, and numbers for every parameter and standardizer entry."""
+    def numbers(value):
+        return all(map(numbers, value)) if type(value) is list else type(value) in (int, float)
+    kinds = {"in_dim": int, "hidden_dim": int, "num_layers": int, "num_classes": int,
+             "use_pre": bool, "use_skip": bool, "self_in_aggregation": bool, "dtype": str}
+    config, stats = ckpt["config"], ckpt.get("standardizer") or {}
+    return (type(ckpt["format_version"]) is int
+            and all(type(config[k]) is kind for k, kind in kinds.items() if k in config)
+            and type(config.get("dropout", 0.0)) in (int, float)
+            and all(numbers(v) for v in ckpt["params"].values() if v is not None)
+            and all(numbers(stats[k]) for k in ("mean", "std") if k in stats))
+
+
 DELETE = object()
+
+
+def _replace_at(obj, path, value):
+    """Set the value at ``path`` inside a JSON object, or delete it for DELETE."""
+    *parent, key = path
+    for step in parent:
+        obj = obj[step]
+    if value is DELETE:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -473,22 +568,25 @@ JSON_VALUES = st.recursive(
 @example(field=("params", "W_p", 0, 0), value=3.4e38)  # finite, but overflows in the forward
 @example(field=("standardizer", "std", 0), value=5e-324)  # overflows in standardizing
 @example(field=("params", "b_p", 0), value=10**400)  # past float64's range
+@example(field=("config", "in_dim"), value=4.0)  # JSON types save_checkpoint never writes
+@example(field=("config", "num_layers"), value=True)
+@example(field=("config", "use_skip"), value=1)
+@example(field=("config", "dropout"), value="0.1")
+@example(field=("config", "dtype"), value=["float32"])
+@example(field=("params", "W_o", 0, 0), value="1.5")
+@example(field=("params", "b_o", 0), value=True)
+@example(field=("standardizer", "mean", 0), value="0.5")
+@example(field=("format_version",), value=True)
 def test_mutated_checkpoint_is_scored_or_rejected(tiny_run, field, value):
     # one field of a trained checkpoint changed or deleted: `cogcn eval` exits
-    # 0 or 2 with no exception or warning, and a checkpoint that loads has
-    # finite parameters and distinct string class names. `field` indexes the
-    # checkpoint's paths in document order; an example names its path outright
+    # 0 or 2 with no exception or warning, and a checkpoint that loads holds
+    # the JSON types save_checkpoint writes, finite parameters and distinct
+    # string class names. `field` indexes the checkpoint's paths in document
+    # order; an example names its path outright
     text = (tiny_run / "run" / "fold_spk00.json").read_text()
     obj = json.loads(text)
     paths = list(_paths(obj))
-    *parent, key = field if isinstance(field, tuple) else paths[field % len(paths)]
-    holder = obj
-    for step in parent:
-        holder = holder[step]
-    if value is DELETE:
-        del holder[key]
-    else:
-        holder[key] = value
+    _replace_at(obj, field if isinstance(field, tuple) else paths[field % len(paths)], value)
     ckpt = tiny_run / "mutated.json"
     ckpt.write_text(json.dumps(obj))
     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
@@ -500,6 +598,7 @@ def test_mutated_checkpoint_is_scored_or_rejected(tiny_run, field, value):
         except DataError as exc:
             assert code == 2 and str(ckpt) in str(exc)
             return
+    assert _has_saved_types(obj)
     assert np.isfinite(loaded.params.flat).all()
     names = loaded.class_names
     assert all(type(n) is str for n in names) and len(set(names)) == len(names)

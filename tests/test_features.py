@@ -1,11 +1,14 @@
 """Ingestion, standardization, and the synthetic generator."""
 
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cogcn import features
 from cogcn import (
@@ -223,11 +226,37 @@ class TestFeatureReader:
                   cluster_sep=12.0, seed=1),
     ], ids=["desk", "reference"])
     def test_byte_equal_to_per_line_reader(self, tmp_path, spec):
-        save_dataset(synth_dataset(spec), tmp_path)
-        for path in sorted(tmp_path.glob("*.csv")):
+        for utt in synth_dataset(spec).utterances:
+            (tmp_path / f"{utt.id}.csv").write_text(features.feature_csv_text(utt.features))
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
             new, old = features._read_feature_csv(path), per_line_reader(path)
             assert new.flags.c_contiguous
             assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
+
+    @pytest.mark.parametrize("order", [">f8", "F"])
+    def test_npy_of_either_byte_or_memory_order_reads_native_c_float64(self, tmp_path, order):
+        x = np.arange(12.0).reshape(3, 4) / 7
+        np.save(tmp_path / "u.npy", np.asfortranarray(x) if order == "F" else x.astype(order))
+        got = features._read_feature_npy(tmp_path / "u.npy")
+        assert got.dtype == np.dtype("=f8") and got.flags.c_contiguous
+        assert got.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("shape, data", [
+        ((2**40, 2**40), b""),  # 2**80 values, a byte count past int64
+        ((3, 4), bytes(97)),  # one byte more than the values need
+    ], ids=["2**80 values", "trailing byte"])
+    def test_npy_data_must_fill_the_file_exactly(self, tmp_path, shape, data):
+        path = tmp_path / "u.npy"
+        with path.open("wb") as file:
+            np.lib.format.write_array_header_1_0(
+                file, {"descr": "<f8", "fortran_order": False, "shape": shape})
+            file.write(data)
+        needed = shape[0] * shape[1] * 8
+        with pytest.raises(DataError, match=rf"^{path}: .*needs {needed} bytes, "
+                                            rf"the file holds {len(data)}$"):
+            features._read_feature_npy(path)
 
     @pytest.mark.parametrize("row", ["1,1_5,2", "1_0,1,2"])
     def test_digit_separator_rejected_with_line(self, tmp_path, row):
@@ -390,6 +419,40 @@ class TestRoundTrip:
             assert orig.speaker == loaded.speaker
             assert orig.session == loaded.session
             assert np.array_equal(orig.features, loaded.features)
+
+    @given(
+        frames=st.integers(1, 4).flatmap(lambda d: st.lists(
+            hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.just(d)),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=4)),
+        fortran=st.booleans(),
+        as_csv=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_npy_and_csv_files_load_to_the_saved_bits(self, frames, fortran, as_csv):
+        # save_dataset's .npy files load bit-exact and C-contiguous, whatever
+        # the memory order saved; a manifest mixing .csv and .npy entries
+        # loads to the bytes of an all-CSV copy
+        utts = tuple(Utterance(f"u{i}", np.asfortranarray(x) if fortran else x, 0, "a")
+                     for i, x in enumerate(frames))
+        ds = Dataset(utts, frames[0].shape[1], ("x",))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            save_dataset(ds, out)
+            saved = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+            for utt in utts:
+                (out / f"{utt.id}.csv").write_text(features.feature_csv_text(utt.features))
+            as_csv_entries = [{**e, "path": f"{e['id']}.csv"} for e in saved]
+            write_manifest(out / "csv.jsonl", as_csv_entries)
+            write_manifest(out / "mixed.jsonl", [c if flag else e for e, c, flag
+                                                 in zip(saved, as_csv_entries, as_csv)])
+            npy, csv, mixed = (load_dataset(out / name).utterances
+                               for name in ("manifest.jsonl", "csv.jsonl", "mixed.jsonl"))
+        for utt, x, y, z in zip(utts, npy, csv, mixed, strict=True):
+            assert all(u.features.dtype == np.float64 and u.features.flags.c_contiguous
+                       for u in (x, y, z))
+            assert x.features.tobytes() == utt.features.tobytes()
+            assert z.features.tobytes() == y.features.tobytes()
+            assert x.features.shape == y.features.shape == z.features.shape == utt.features.shape
 
     def test_duplicate_ids_rejected(self):
         # two utterances saved under one id would share one feature file

@@ -10,7 +10,7 @@ corpus plants a contiguous run of loud vacuum frames in every utterance,
 which a chain dutifully propagates into its neighbours while thresholded
 similarities prune it away.
 
-Runtime is about two minutes; shrink ``SEEDS`` for a quicker look.
+Runtime is about ten seconds on two cores; shrink ``SEEDS`` for a quicker look.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ for arm, graph_kind in (("cosine graphs", "cosine"), ("temporal chains", "tempor
         cv = loso_cv(corpus(seed), tc)
         print(f"{arm:16s} seed {seed}: mean wa {cv.mean_wa:.4f} "
               f"mean ua {cv.mean_ua:.4f} "
-              f"(selected K per fold: {[f.selected_k for f in cv.folds]})")
+              f"(selected K per fold: {[f.selected.config.num_layers for f in cv.folds]})")
         uas.append(cv.mean_ua)
     results[arm] = float(np.mean(uas))
 

@@ -173,10 +173,7 @@ def cmd_train(args) -> int:
             raise DataError(
                 f"unknown holdout speaker '{args.holdout}'; available: {', '.join(speakers)}"
             )
-        if len(speakers) < 3:
-            raise DataError("holdout training needs at least 3 speakers")
-        fold = run_fold(dataset, tc, speakers.index(args.holdout))
-        result = CVResult([fold], fold.metrics.wa, fold.metrics.ua,
+        result = CVResult([run_fold(dataset, tc, speakers.index(args.holdout))],
                           dataset.class_names)
     else:
         result = loso_cv(dataset, tc, jobs=args.jobs)
@@ -190,17 +187,17 @@ def cmd_train(args) -> int:
         save_checkpoint(
             ckpt_path,
             fold.params,
-            fold.config,
+            fold.selected.config,
             dataset.class_names,
             standardizer=fold.stats,
             train_meta={"gamma": fold.selected_gamma, "graph_kind": tc.graph_kind},
         )
         history_path = out / f"fold_{fold.speaker}_history.csv"
-        write_history_csv(fold.history, history_path)
+        write_history_csv(fold.selected.history, history_path)
         outputs += [str(ckpt_path), str(history_path)]
         _log(
             f"fold {fold.speaker}: wa={fold.metrics.wa:.4f} ua={fold.metrics.ua:.4f} "
-            f"(K={fold.selected_k}, gamma={fold.selected_gamma})"
+            f"(K={fold.selected.config.num_layers}, gamma={fold.selected_gamma})"
         )
 
     config_dict = {**asdict(tc), "jobs": args.jobs, "holdout": args.holdout}
@@ -283,7 +280,7 @@ def cmd_graph(args) -> int:
     _write_run_manifest(
         out, "graph", {"utt": args.utt, **kind, "seed": None}, started,
         inputs={"data": str(args.data)},
-        outputs=[str(out / f"{utt.id}.{ext}") for ext in ("dot", "json")],
+        outputs=[str(out / f"{utt.id}{ext}") for ext in (".dot", ".json", "_features.csv")],
     )
     print(f"{utt.id}: {g.n_nodes} nodes, {len(g.edges())} edges")
     return EXIT_OK

@@ -4,7 +4,7 @@ A dataset is a collection of utterances; each utterance carries an (n, d)
 matrix of per-frame feature vectors (one row per analysis frame, e.g. the
 88 eGeMAPS descriptors), a class label, and a speaker id. On disk a dataset
 is a JSON Lines manifest plus one feature file per utterance: the binary
-``.npy`` matrix ``save_dataset`` writes, or a CSV (e.g. an extractor's output).
+``.npy`` matrix ``save_dataset`` writes, or a ``frame_index,f0,...`` CSV.
 
 The synthetic generator produces deterministic corpora in which voiced frames
 cluster per class (with a small per-speaker shift) while a configurable

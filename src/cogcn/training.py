@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
 
 import numpy as np
 
-from .features import Dataset, StandardizeStats, apply_standardizer, fit_standardizer
+from .features import DataError, Dataset, StandardizeStats, apply_standardizer, fit_standardizer
 from .graph import GRAPH_KINDS, build_cosine_graph, build_temporal_graph, norm_coefficients
 from .model import (ForwardCache, ModelConfig, ModelParams, check_group, forward_arrays,
                     init_params, Workspace, param_count, sample_dropout_mask)
@@ -346,8 +346,6 @@ def evaluate(
     is cast here: the coefficients come in the model dtype, and
     ``forward_arrays`` casts the float64 features.
     """
-    if not dataset.utterances:
-        raise ValueError("empty dataset")
     graphs = (PreparedGraph(utt.id, x, coeffs, utt.label)
               for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config))
     return _evaluate_groups(params, config, _groups(graphs))
@@ -465,26 +463,51 @@ def _batch_gradient(
 # leave-one-speaker-out cross-validation
 
 
+@dataclass(frozen=True)
+class Trial:
+    """One point of a fold's (K, gamma) grid: the model config, gamma and epoch history."""
+
+    config: ModelConfig
+    gamma: float
+    history: list[EpochStats]
+
+    @property
+    def val_ua(self) -> float:
+        return max(s.val_ua for s in self.history)
+
+
+def select_trial(trials: list[Trial], k_grid: tuple, gamma_grid: tuple) -> Trial:
+    """The trial with the best validation UA; on a tie, the earliest in K-major grid order."""
+    in_grid_order = sorted(trials, key=lambda t: (k_grid.index(t.config.num_layers),
+                                                  gamma_grid.index(t.gamma)))
+    return max(in_grid_order, key=lambda t: t.val_ua)  # max keeps the first maximum
+
+
 @dataclass
 class FoldResult:
     speaker: str
     val_speaker: str
     metrics: Metrics
-    selected_k: int
-    selected_gamma: float
-    best_val_ua: float
-    params: ModelParams
-    history: list[EpochStats]
+    trials: list[Trial]  # in the order trained: gamma-major
+    selected: Trial
+    params: ModelParams  # the selected trial's
     stats: StandardizeStats
-    config: ModelConfig
+
+    @property
+    def selected_gamma(self) -> float:
+        return self.selected.gamma
 
 
 @dataclass
 class CVResult:
     folds: list[FoldResult]
-    mean_wa: float
-    mean_ua: float
     class_names: tuple[str, ...] = ()
+    mean_wa: float = field(init=False)  # unweighted means over the folds
+    mean_ua: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.mean_wa = float(np.mean([f.metrics.wa for f in self.folds]))
+        self.mean_ua = float(np.mean([f.metrics.ua for f in self.folds]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -494,7 +517,7 @@ class CVResult:
                     "wa": f.metrics.wa,
                     "ua": f.metrics.ua,
                     "confusion": f.metrics.confusion.tolist(),
-                    "selected_K": f.selected_k,
+                    "selected_K": f.selected.config.num_layers,
                     "selected_gamma": f.selected_gamma,
                 }
                 for f in self.folds
@@ -511,57 +534,43 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     The lexicographically next speaker is held out for validation; the
     standardizer is fit on the remaining training speakers only; train and
     validation utterances are standardized one at a time as their graphs are
-    built, and only the test set as a dataset. (K, gamma) are selected
-    jointly by best validation UA, keeping the earliest combination in
-    K-major order on ties. The fold's RNG stream is
-    ``tc.seed`` XOR ``fold_index``, so folds are independent and may run in
-    parallel with results identical to serial execution.
+    built, and only the test set as a dataset. Every (K, gamma) is trained,
+    and ``select_trial`` picks the fold's by validation UA. The fold's RNG
+    stream is ``tc.seed`` XOR ``fold_index``, so folds are independent and may
+    run in parallel with results identical to serial execution.
     """
     speakers = dataset.speakers
+    if len(speakers) < 3:
+        raise DataError("leave-one-speaker-out needs at least 3 speakers (test + val + train)")
     test_speaker = speakers[fold_index]
     val_speaker = speakers[(fold_index + 1) % len(speakers)]
     train_speakers = [s for s in speakers if s not in (test_speaker, val_speaker)]
-    if not train_speakers:
-        raise ValueError("fold has no training speakers")
 
-    train_ids = [u.id for u in dataset.utterances if u.speaker in set(train_speakers)]
-    stats = fit_standardizer(dataset, train_ids)
     ds_train = dataset.subset_speakers(train_speakers)
+    stats = fit_standardizer(ds_train, ds_train.ids)
     ds_val = dataset.subset_speakers([val_speaker])
 
     fold_seed = tc.seed ^ fold_index
     gammas = tc.gamma_grid if tc.graph_kind == "cosine" else (tc.gamma_grid[0],)
 
-    # gamma-major, so that only one gamma's graphs are alive at a time; the
-    # rank keeps the K-major rule: best validation UA, earliest (K, gamma)
-    best = None
-    for gi, gamma in enumerate(gammas):
+    # gamma-major, so that only one gamma's graphs are alive at a time; only
+    # the parameters of the best trial so far are kept
+    trials, params = [], None
+    for gamma in gammas:
         p_train = prepare_graphs(ds_train, gamma, tc.graph_kind, tc.model, stats)
         p_val = prepare_graphs(ds_val, gamma, tc.graph_kind, tc.model, stats)
-        for ki, k in enumerate(tc.k_grid):
-            config_k = replace(tc.model, num_layers=int(k))
-            tc_run = replace(tc, model=config_k, seed=fold_seed)
-            params, history = train(p_train, p_val, tc_run)
-            rank = (max(s.val_ua for s in history), -ki, -gi)
-            if best is None or rank > best[0]:
-                best = (rank, int(k), gamma, params, history, config_k)
-        del p_train, p_val
+        for k in tc.k_grid:
+            tc_run = replace(tc, model=replace(tc.model, num_layers=int(k)), seed=fold_seed)
+            trial_params, history = train(p_train, p_val, tc_run)
+            trials.append(Trial(tc_run.model, gamma, history))
+            if select_trial(trials, tc.k_grid, tc.gamma_grid) is trials[-1]:
+                params = trial_params
+        del p_train, p_val, trial_params
 
-    (score, _, _), sel_k, sel_gamma, params, history, config_k = best
+    selected = select_trial(trials, tc.k_grid, tc.gamma_grid)
     ds_test = apply_standardizer(dataset.subset_speakers([test_speaker]), stats)
-    test_metrics = evaluate(params, config_k, ds_test, sel_gamma, tc.graph_kind)
-    return FoldResult(
-        speaker=test_speaker,
-        val_speaker=val_speaker,
-        metrics=test_metrics,
-        selected_k=sel_k,
-        selected_gamma=sel_gamma,
-        best_val_ua=score,
-        params=params,
-        history=history,
-        stats=stats,
-        config=config_k,
-    )
+    test_metrics = evaluate(params, selected.config, ds_test, selected.gamma, tc.graph_kind)
+    return FoldResult(test_speaker, val_speaker, test_metrics, trials, selected, params, stats)
 
 
 def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
@@ -570,12 +579,7 @@ def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
     ``jobs`` > 1 runs folds in separate processes; per-fold RNG streams make
     the result identical to serial execution.
     """
-    speakers = dataset.speakers
-    if len(speakers) < 3:
-        raise ValueError(
-            "leave-one-speaker-out needs at least 3 speakers (test + val + train)"
-        )
-    indices = range(len(speakers))
+    indices = range(len(dataset.speakers))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays the import
 
@@ -583,9 +587,7 @@ def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
             folds = list(pool.map(run_fold, *zip(*[(dataset, tc, i) for i in indices])))
     else:
         folds = [run_fold(dataset, tc, i) for i in indices]
-    mean_wa = float(np.mean([f.metrics.wa for f in folds]))
-    mean_ua = float(np.mean([f.metrics.ua for f in folds]))
-    return CVResult(folds, mean_wa, mean_ua, dataset.class_names)
+    return CVResult(folds, dataset.class_names)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,18 @@ class TestTrain:
         assert code == 2
         assert "spk00" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("holdout", [[], ["--holdout", "spk00"]])
+    def test_two_speakers_is_data_error(self, tmp_path, capsys, holdout):
+        # LOSO and a single holdout split share one check and one exit code
+        data = tmp_path / "data"
+        assert run(["synth", "--speakers", 2, "--utts", 2, "--dim", 4, "--frames-lo", 4,
+                    "--frames-hi", 6, "--seed", 0, "-o", data]) == 0
+        capsys.readouterr()
+        code = run(["train", "--data", data, "--k", 1, "--gamma", 0.5, "--z", 4,
+                    "--epochs", 1, *holdout, "-o", tmp_path / "r"])
+        assert code == 2
+        assert "at least 3 speakers" in capsys.readouterr().err
+
     def test_ablation_flags_accepted(self, tmp_path, data_dir):
         code = run([
             "train", "--data", data_dir, "--graph", "temporal", "--no-skip",
@@ -430,6 +442,11 @@ class TestGraphCommand:
         assert len(obj["edges"]) == obj["n"] - 1
         assert (out / f"{utt}.dot").exists()
         assert (out / f"{utt}_features.csv").exists()
+        # the run manifest lists every file the command writes, and only those
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        written = {p.name for p in out.iterdir()} - {"run_manifest.json"}
+        assert sorted(Path(f).name for f in manifest["outputs"]) == sorted(written)
+        assert written == {f"{utt}.dot", f"{utt}.json", f"{utt}_features.csv"}
 
     def test_features_csv_matches_dataset_file(self, tmp_path, data_dir):
         # `cogcn graph` exports the utterance's features as CSV text, and the

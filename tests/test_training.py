@@ -1,5 +1,6 @@
 """Loss, backward vs finite differences, Adam, the training loop, metrics, CV."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -40,6 +41,7 @@ from cogcn import (
     write_metrics_json,
 )
 from cogcn.gradcheck import run_gradcheck
+from cogcn.training import EpochStats, Trial, select_trial
 
 
 # a vector of 2 to 8 logits in [-30, 30], and a label
@@ -561,8 +563,40 @@ class TestLosoCV:
         monkeypatch.setattr(training, "train", canned_train)
         tc = replace(self._tc(), k_grid=(1, 2, 3), gamma_grid=(0.5, 0.55, 0.6))
         fold = run_fold(small_corpus(speakers=3), tc, 0)
-        assert (fold.selected_k, fold.selected_gamma) == expected
-        assert fold.best_val_ua == scores.get(expected, 0.5)
+        assert (fold.selected.config.num_layers, fold.selected_gamma) == expected
+        assert fold.selected.val_ua == scores.get(expected, 0.5)
+
+    @pytest.mark.parametrize("scores", [
+        {},  # every trial ties: the first trained is the first in K-major order
+        {(3, 0.6): 0.9},  # the last trial trained wins
+        {(2, 0.5): 0.9, (1, 0.6): 0.9},  # a tie won by a trial trained after the other
+    ])
+    def test_fold_keeps_the_selected_trials_params(self, monkeypatch, scores):
+        from cogcn import training
+
+        gammas, returned = [], {}
+        prepare = training.prepare_graphs
+
+        def recording_prepare(ds, gamma, *args):
+            gammas.append(gamma)
+            return prepare(ds, gamma, *args)
+
+        def canned_train(p_train, p_val, tc):
+            key = (tc.model.num_layers, gammas[-1])
+            returned[key] = init_params(tc.model, 0)
+            ua = scores.get(key, 0.5)
+            return returned[key], [EpochStats(1, 1.0, ua, ua)]
+
+        monkeypatch.setattr(training, "prepare_graphs", recording_prepare)
+        monkeypatch.setattr(training, "train", canned_train)
+        grid = (1, 2, 3), (0.5, 0.55, 0.6)
+        tc = replace(self._tc(), k_grid=grid[0], gamma_grid=grid[1])
+        fold = run_fold(small_corpus(speakers=3), tc, 0)
+        # one trial per grid point, in the order trained: gamma-major
+        assert [(t.config.num_layers, t.gamma) for t in fold.trials] == [
+            (k, g) for g in grid[1] for k in grid[0]]
+        assert any(t is fold.selected for t in fold.trials)
+        assert fold.params is returned[fold.selected.config.num_layers, fold.selected_gamma]
 
     def test_temporal_kind_skips_gamma_grid(self):
         ds = small_corpus(speakers=3)
@@ -571,3 +605,30 @@ class TestLosoCV:
                          gamma_grid=(0.5, 0.55, 0.6), graph_kind="temporal")
         result = loso_cv(ds, tc)
         assert all(f.selected_gamma == 0.5 for f in result.folds)
+
+
+@settings(max_examples=300)
+@given(
+    k_grid=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+    gamma_grid=st.lists(st.sampled_from([0.3, 0.5, 0.55, 0.6, 0.9]), min_size=1,
+                        max_size=3, unique=True),
+    data=st.data(),
+)
+def test_select_trial_is_the_first_maximum_in_k_major_order(k_grid, gamma_grid, data):
+    # validation UAs from three values, so that ties are common; a trial's
+    # score is the best of its epochs
+    epoch_uas = {point: data.draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]),
+                                           min_size=1, max_size=3))
+                 for point in itertools.product(k_grid, gamma_grid)}
+    config = ModelConfig(in_dim=2, hidden_dim=2, num_classes=2)
+    trials = [Trial(replace(config, num_layers=k), g,
+                    [EpochStats(e, 1.0, ua, ua) for e, ua in enumerate(epoch_uas[k, g], 1)])
+              for g in gamma_grid for k in k_grid]  # gamma-major, as run_fold trains them
+    best = None
+    for point in itertools.product(k_grid, gamma_grid):  # brute force, K-major
+        if best is None or max(epoch_uas[point]) > max(epoch_uas[best]):
+            best = point
+    chosen = select_trial(trials, tuple(k_grid), tuple(gamma_grid))
+    assert any(chosen is t for t in trials)
+    assert (chosen.config.num_layers, chosen.gamma) == best
+    assert chosen.val_ua == max(epoch_uas[best])

@@ -165,7 +165,6 @@ def cmd_train(args) -> int:
     out = _claim_output(args.out)
     dataset = load_dataset(args.data)
     tc = _train_config(args, dataset)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.holdout:
         speakers = dataset.speakers
@@ -178,6 +177,7 @@ def cmd_train(args) -> int:
     else:
         result = loso_cv(dataset, tc, jobs=args.jobs)
 
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     metrics_path = out / "metrics.json"
     write_metrics_json(result, metrics_path)

@@ -4,7 +4,9 @@ A dataset is a collection of utterances; each utterance carries an (n, d)
 matrix of per-frame feature vectors (one row per analysis frame, e.g. the
 88 eGeMAPS descriptors), a class label, and a speaker id. On disk a dataset
 is a JSON Lines manifest plus one feature file per utterance: the binary
-``.npy`` matrix ``save_dataset`` writes, or a ``frame_index,f0,...`` CSV.
+``.npy`` matrix ``save_dataset`` writes, or a ``frame_index,f0,...`` CSV,
+read line by line so that a fault names ``file:line``. A missing, unreadable
+or non-UTF-8 input (manifest, feature file, checkpoint) fails in ``_reading``.
 
 The synthetic generator produces deterministic corpora in which voiced frames
 cluster per class (with a small per-speaker shift) while a configurable
@@ -16,17 +18,18 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
 from .util import substream, write_text_atomic
 
 STD_FLOOR = 1e-8
+_INT64_MAX = 2**63 - 1  # frame indices are int64
 _SPEAKER_SHIFT = 0.25  # scale of the per-speaker offset in synthetic corpora
 _VACUUM_STD = 3.0  # vacuum frames are loud, directionless noise bursts
 
@@ -171,38 +174,50 @@ def _reading(path: Path, what: str):
 
 
 def _read_text(path: Path, what: str) -> str:
-    """A manifest's or feature file's text."""
+    """A manifest's, feature file's or checkpoint's text."""
     with _reading(path, what):
         return path.read_text(encoding="utf-8")
 
 
 def _read_feature_csv(path: Path) -> np.ndarray:
-    """One utterance's (n, d) frames: one C-level parse, then checks in numpy.
+    """One utterance's (n, d) frames, read line by line; a fault raises ``path:line``.
 
-    A file the parse or the checks reject is walked line by line by
-    ``_locate_fault``, which raises the error with ``path:line``.
+    Python's ``int`` and ``float`` also take ``_`` digit separators and
+    non-ASCII digits, which the format does not, so both are refused here.
     """
     lines = _read_text(path, "feature file").splitlines()
     if not lines:
         raise DataError(f"{path}: missing header row")
     header = lines[0].split(",")
-    if header[0] != "frame_index" or header[1:] != [
-        f"f{i}" for i in range(len(header) - 1)
-    ]:
+    if header[0] != "frame_index" or header[1:] != [f"f{i}" for i in range(len(header) - 1)]:
         raise DataError(f"{path}:1: malformed header '{lines[0]}'")
     d = len(header) - 1
-    body = lines[1:]
-    if not any(body):  # no frame rows; loadtxt would warn about it
-        return np.empty((0, d))
-    row = np.dtype([("index", np.int64), ("values", np.float64, (d,))])
-    try:
-        rows = np.loadtxt(body, dtype=row, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        _locate_fault(path, body, d, exc)
-    index, values = rows["index"], rows["values"]
-    if index[0] != 0 or np.any(index[1:] <= index[:-1]) or not np.isfinite(values).all():
-        _locate_fault(path, body, d, None)
-    return np.ascontiguousarray(values)
+    rows, prev_index = [], -1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            raise DataError(f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {d + 1})")
+        try:
+            frame_index = int(cells[0])
+            values = list(map(float, cells[1:]))
+            if "_" in line:
+                raise ValueError(f"digit separator '_' in '{line}'")
+            # non-ASCII whitespace around a number is allowed, as str.strip() sees it
+            if not line.isascii() and not all(c.strip().isascii() for c in cells):
+                raise ValueError(f"non-ASCII digit in '{line}'")
+        except ValueError as err:
+            raise DataError(f"{path}:{lineno}: {err}") from err
+        if frame_index > _INT64_MAX:
+            raise DataError(f"{path}:{lineno}: frame_index {frame_index} does not fit in int64")
+        if frame_index <= prev_index or (prev_index == -1 and frame_index != 0):
+            raise DataError(f"{path}:{lineno}: frame_index must increase strictly from 0")
+        prev_index = frame_index
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
 
 def _read_feature_npy(path: Path) -> np.ndarray:
@@ -232,39 +247,6 @@ def _read_feature_npy(path: Path) -> np.ndarray:
         row = np.argmin(np.isfinite(features).all(axis=1))
         raise DataError(f"{path}: row {row}: non-finite feature value")
     return features
-
-
-def _locate_fault(path: Path, body: list[str], d: int, exc: ValueError | None) -> NoReturn:
-    """Raise the first fault of a feature file's frame rows as a ``DataError``.
-
-    Walks the rows with Python's ``int`` and ``float``, which accept digit
-    separators that the bulk parse rejects, so ``_`` is refused here too.
-    ``exc`` is the bulk parse's error, reported if no row is at fault.
-    """
-    prev_index = -1
-    for lineno, line in enumerate(body, start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise DataError(
-                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {d + 1})"
-            )
-        try:
-            frame_index = int(cells[0])
-            values = [float(c) for c in cells[1:]]
-            if "_" in line:
-                raise ValueError(f"digit separator '_' in '{line}'")
-        except ValueError as err:
-            raise DataError(f"{path}:{lineno}: {err}") from err
-        if frame_index <= prev_index or (prev_index == -1 and frame_index != 0):
-            raise DataError(
-                f"{path}:{lineno}: frame_index must increase strictly from 0"
-            )
-        prev_index = frame_index
-        if not all(np.isfinite(values)):
-            raise DataError(f"{path}:{lineno}: non-finite feature value")
-    raise DataError(f"{path}: {exc}") from exc
 
 
 def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:

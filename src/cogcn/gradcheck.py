@@ -1,17 +1,17 @@
 """Central finite-difference verification of the hand-derived gradients.
 
 The checker never calls ``backward`` to produce its reference: it perturbs
-every parameter entry by +/-step and differences the forward-pass loss, so
-it stays an independent oracle for the analytic gradients.
+every parameter entry by +/-``_STEP`` and differences the forward-pass
+loss, so it stays an independent oracle for the analytic gradients.
 
 Relative errors are guarded: each entry is scored as
-|analytic - numeric| / max(|analytic|, |numeric|, floor), so entries that are
-numerically zero on both routes (dead relu paths, dropped units) cannot
-inflate the report through finite-difference round-off.
+|analytic - numeric| / max(|analytic|, |numeric|, ``_REL_FLOOR``), so
+entries that are numerically zero on both routes (dead relu paths, dropped
+units) cannot inflate the report through finite-difference round-off.
 
 Instances with a relu pre-activation too close to its kink are re-drawn
 (deterministically): central differences are invalid across the kink, and
-a parameter perturbation of +/-step can push such a pre-activation over it.
+a parameter perturbation can push such a pre-activation over it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .model import (
 )
 from .training import backward, cross_entropy_from_logits
 
-DEFAULT_STEP = 1e-5
+_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 _REL_FLOOR = 1e-3
 _KINK_MARGIN = 1e-3  # min |relu pre-activation| for a usable instance
@@ -79,30 +79,26 @@ def _loss(instance: GradcheckInstance, params: ModelParams) -> float:
     return loss
 
 
-def finite_difference_grads(
-    instance: GradcheckInstance, step: float = DEFAULT_STEP
-) -> ModelParams:
+def finite_difference_grads(instance: GradcheckInstance) -> ModelParams:
     """Central differences of the loss w.r.t. every parameter entry."""
     params = instance.params.copy()
     grads = ModelParams(params.config)
     flat = params.flat
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + _STEP
         up = _loss(instance, params)
-        flat[i] = orig - step
+        flat[i] = orig - _STEP
         down = _loss(instance, params)
         flat[i] = orig
-        grads.flat[i] = (up - down) / (2.0 * step)
+        grads.flat[i] = (up - down) / (2.0 * _STEP)
     return grads
 
 
-def max_relative_error(
-    analytic: ModelParams, numeric: ModelParams, floor: float = _REL_FLOOR
-) -> tuple[float, str]:
+def max_relative_error(analytic: ModelParams, numeric: ModelParams) -> tuple[float, str]:
     """Largest guarded relative error over all entries, with its array name."""
     a, n = analytic.flat, numeric.flat
-    err = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    err = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), _REL_FLOOR)
     worst = int(err.argmax())
     name = next(
         name for name, _, offset in reversed(param_layout(analytic.config))
@@ -163,11 +159,7 @@ def _draw_instance(rng: np.random.Generator, index: int) -> GradcheckInstance:
     return GradcheckInstance(config, params, x, coeffs, label, mask, graph_kind)
 
 
-def run_gradcheck(
-    n_instances: int = 20,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-) -> GradcheckReport:
+def run_gradcheck(n_instances: int = 20, seed: int = 0) -> GradcheckReport:
     """Compare ``backward`` against central differences on random instances."""
     if n_instances < 1:
         raise ValueError(f"a gradient check needs at least 1 instance, got {n_instances}")
@@ -187,7 +179,7 @@ def run_gradcheck(
         _, _, cache = _forward(instance, instance.params)
         (row,) = backward(instance.params, instance.config, cache, [instance.label]).flat
         analytic = ModelParams(instance.config, row)
-        numeric = finite_difference_grads(instance, step=step)
+        numeric = finite_difference_grads(instance)
         err, name = max_relative_error(analytic, numeric)
         if err > worst:
             worst, worst_instance, worst_param = err, index, name

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import DataError, StandardizeStats
+from .features import DataError, StandardizeStats, _read_text
 from .graph import GRAPH_KINDS
 from .util import substream, write_text_atomic
 
@@ -425,10 +425,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"{path}: checkpoint not found") from None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(_read_text(path, "checkpoint"))
+    except json.JSONDecodeError as exc:
         raise DataError(f"{path}: unreadable checkpoint: {exc}") from exc
     version = obj.get("format_version") if isinstance(obj, dict) else None
     if type(version) is not int or version != CHECKPOINT_VERSION:

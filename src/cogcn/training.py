@@ -35,6 +35,7 @@ from .util import substream, write_text_atomic
 # Short graphs share a call; long ones run alone, because a larger padded
 # block no longer fits in cache.
 MAX_GROUP_ENTRIES = 2**16
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,8 @@ def init_adam_state(params: ModelParams) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
 
 
-def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[ModelParams, AdamState]:
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
+              lr: float) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
     if grads.flat.shape != params.flat.shape:
         raise ValueError(
@@ -195,9 +189,9 @@ def adam_step(
         )
     state.t += 1
     t, g, m, v = state.t, grads.flat, state.m, state.v
-    np.add(beta1 * m, (1.0 - beta1) * g, out=m)
-    np.add(beta2 * v, (1.0 - beta2) * (g * g), out=v)
-    params.flat -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    np.add(_BETA1 * m, (1.0 - _BETA1) * g, out=m)
+    np.add(_BETA2 * v, (1.0 - _BETA2) * (g * g), out=v)
+    params.flat -= lr * (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPS)
     return params, state
 
 
@@ -528,6 +522,16 @@ class CVResult:
         }
 
 
+def _fold_speakers(dataset: Dataset, fold_index: int) -> tuple[str, str, list[str]]:
+    """Fold ``fold_index``'s test speaker, validation speaker and training speakers."""
+    speakers = dataset.speakers
+    if len(speakers) < 3:
+        raise DataError("leave-one-speaker-out needs at least 3 speakers (test + val + train)")
+    test_speaker = speakers[fold_index]
+    val_speaker = speakers[(fold_index + 1) % len(speakers)]
+    return test_speaker, val_speaker, [s for s in speakers if s not in (test_speaker, val_speaker)]
+
+
 def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     """One cross-validation fold: test on speaker ``fold_index``.
 
@@ -539,13 +543,7 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     stream is ``tc.seed`` XOR ``fold_index``, so folds are independent and may
     run in parallel with results identical to serial execution.
     """
-    speakers = dataset.speakers
-    if len(speakers) < 3:
-        raise DataError("leave-one-speaker-out needs at least 3 speakers (test + val + train)")
-    test_speaker = speakers[fold_index]
-    val_speaker = speakers[(fold_index + 1) % len(speakers)]
-    train_speakers = [s for s in speakers if s not in (test_speaker, val_speaker)]
-
+    test_speaker, val_speaker, train_speakers = _fold_speakers(dataset, fold_index)
     ds_train = dataset.subset_speakers(train_speakers)
     stats = fit_standardizer(ds_train, ds_train.ids)
     ds_val = dataset.subset_speakers([val_speaker])
@@ -580,6 +578,8 @@ def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
     the result identical to serial execution.
     """
     indices = range(len(dataset.speakers))
+    for i in indices:  # a split run_fold would refuse fails here, before any pool starts
+        _fold_speakers(dataset, i)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays the import
 

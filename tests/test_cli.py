@@ -121,6 +121,16 @@ class TestTrain:
         assert code == 2
         assert "at least 3 speakers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("holdout", [[], ["--holdout", "spk00"]])
+    def test_data_error_creates_no_output_directory(self, tmp_path, capsys, holdout):
+        data = tmp_path / "data"
+        assert run(["synth", "--speakers", 2, "--utts", 2, "--dim", 4, "--frames-lo", 4,
+                    "--frames-hi", 6, "--seed", 0, "-o", data]) == 0
+        code = run(["train", "--data", data, "--k", 1, "--gamma", 0.5, "--z", 4,
+                    "--epochs", 1, *holdout, "-o", tmp_path / "r"])
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+
     def test_ablation_flags_accepted(self, tmp_path, data_dir):
         code = run([
             "train", "--data", data_dir, "--graph", "temporal", "--no-skip",
@@ -293,6 +303,13 @@ BAD_GRAPH_SETTINGS = {
     "graph_kind_knn": {"graph_kind": "knn"},
 }
 
+# checkpoints that fail before any JSON is parsed, with what stderr says after the path
+UNREADABLE_CHECKPOINTS = {
+    "missing": "checkpoint not found",
+    "directory": "cannot read checkpoint: Is a directory",
+    "not_utf8": "checkpoint is not UTF-8: byte 0 is 0xff",
+}
+
 
 class TestEval:
     def test_checkpoint_reproduces_recorded_val_score(self, data_dir, trained, capsys):
@@ -330,7 +347,7 @@ class TestEval:
         "missing", "invalid_json", "bad_version", "truncated_w_e", "w_e_count",
         "standardizer_narrow", "standardizer_wide", "zero_std", "nan_mean", "inf_std",
         "gamma_text", "gamma_out_of_range", "graph_kind_list", "graph_kind_knn",
-        "train_meta_list",
+        "train_meta_list", "directory", "not_utf8",
     ])
     def test_bad_checkpoint_is_data_error(self, tmp_path, data_dir, trained, fault, capsys):
         good = json.loads((trained / "fold_spk00.json").read_text())
@@ -350,6 +367,10 @@ class TestEval:
             ckpt.write_text(json.dumps({**good, "train_meta": meta}))
         elif fault == "train_meta_list":
             ckpt.write_text(json.dumps({**good, "train_meta": [good["train_meta"]]}))
+        elif fault == "directory":
+            ckpt.mkdir()
+        elif fault == "not_utf8":
+            ckpt.write_bytes(b"\xff" + json.dumps(good).encode())
         elif fault != "missing":  # the standardizer does not fit the model
             mean, std = good["standardizer"]["mean"], good["standardizer"]["std"]
             stats = {
@@ -367,6 +388,8 @@ class TestEval:
         assert "Traceback" not in err
         for field in BAD_GRAPH_SETTINGS.get(fault, ()):
             assert f"train_meta {field}" in err
+        if fault in UNREADABLE_CHECKPOINTS:
+            assert f"{ckpt}: {UNREADABLE_CHECKPOINTS[fault]}" in err
 
     @pytest.mark.parametrize("field, value, named", [
         (("config", "in_dim"), 6.0, "config in_dim"),

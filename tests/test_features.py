@@ -269,12 +269,34 @@ class TestFeatureReader:
 
     @pytest.mark.parametrize("row", ["1,\u0661,2", "99999999999999999999,1,2"])
     def test_what_only_python_parses_is_a_data_error(self, tmp_path, row):
-        # non-ASCII digits and an index beyond int64 fail with the bulk
-        # parse's message, never as a raw ValueError
+        # non-ASCII digits and an index beyond int64 fail with their line,
+        # never as a raw ValueError
+        message = {
+            "1,\u0661,2": "non-ASCII digit in '1,\u0661,2'",
+            "99999999999999999999,1,2": "frame_index 99999999999999999999 does not fit in int64",
+        }[row]
         path = tmp_path / "u.csv"
         path.write_text(f"frame_index,f0,f1\n0,1,2\n{row}\n", encoding="utf-8")
         assert per_line_reader(path).shape == (2, 2)
-        with pytest.raises(DataError, match=rf"^{path}: could not convert"):
+        with pytest.raises(DataError, match=rf"^{path}:3: {message}$"):
+            features._read_feature_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        "1,\xa03,4", "1,3\u2003,4", "\u30001,3,4", "1\u202f,3,\u205f4", "\xa01\xa0,\u20093\u200a,4",
+    ])
+    def test_non_ascii_whitespace_around_a_number_is_read(self, tmp_path, row):
+        # int() and float() strip it, as str.strip() does
+        path = tmp_path / "u.csv"
+        path.write_text(f"frame_index,f0,f1\n0,1,2\n{row}\n", encoding="utf-8")
+        got = features._read_feature_csv(path)
+        assert got.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+        assert outcome(features._read_feature_csv, path) == outcome(per_line_reader, path)
+
+    @pytest.mark.parametrize("cell", ["\u0661", "1.\u0665", "\u00b2", "\uff11", " \u0661\xa0"])
+    def test_non_ascii_digit_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "u.csv"
+        path.write_text(f"frame_index,f0,f1\n0,1,2\n1,3,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^{path}:3: "):
             features._read_feature_csv(path)
 
     def test_header_only_is_empty_utterance_without_warning(self, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from cogcn import (
     AdamState,
+    DataError,
     ModelConfig,
     ModelParams,
     SynthSpec,
@@ -185,7 +186,7 @@ class TestAdam:
         params = self._params([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
         grads = self._grads([[0.5, -0.25, 2.0], [0.0, 0.0, 0.0]])
         state = init_adam_state(params)
-        new, state = adam_step(params.copy(), grads, state, lr=0.1, eps=1e-8)
+        new, state = adam_step(params.copy(), grads, state, lr=0.1)
         expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
         assert new.w_out[0, 0] == pytest.approx(expected, rel=1e-12)
         # each parameter moves by ~lr in the direction opposite the gradient
@@ -247,7 +248,7 @@ class TestAdam:
         for t in (1, 2, 3):
             grads = ModelParams(self.CFG, rng.standard_normal(params.flat.size))
             moments = AdamState(state.m.copy(), state.v.copy(), state.t)
-            new, new_state = adam_step(params.copy(), grads, moments, lr, b1, b2, eps)
+            new, new_state = adam_step(params.copy(), grads, moments, lr)
             for name, shape, offset in param_layout(self.CFG):
                 part = slice(offset, offset + math.prod(shape))
                 g = grads.arrays[name]
@@ -514,6 +515,17 @@ class TestLosoCV:
         ds = small_corpus(speakers=2)
         with pytest.raises(ValueError, match="at least 3 speakers"):
             loso_cv(ds, self._tc())
+
+    def test_too_few_speakers_rejected_before_the_pool_starts(self, monkeypatch):
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(DataError, match="at least 3 speakers"):
+            loso_cv(small_corpus(speakers=2), self._tc(), jobs=2)
 
     def test_parallel_matches_serial(self):
         ds = small_corpus(speakers=3)

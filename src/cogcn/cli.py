@@ -269,8 +269,6 @@ def cmd_graph(args) -> int:
         g = build_temporal_graph(utt.features)
         kind = {"graph_kind": "temporal"}
     else:
-        if args.gamma is None:
-            raise ValueError("pass --gamma GAMMA or --temporal")
         g = build_cosine_graph(utt.features, args.gamma)
         kind = {"graph_kind": "cosine", "gamma": args.gamma}
     out.mkdir(parents=True, exist_ok=True)
@@ -370,8 +368,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("graph", help="export one utterance's graph (DOT/JSON/CSV)")
     p.add_argument("--data", required=True)
     p.add_argument("--utt", required=True)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--temporal", action="store_true")
+    graph_kind = p.add_mutually_exclusive_group(required=True)
+    graph_kind.add_argument("--gamma", type=float)
+    graph_kind.add_argument("--temporal", action="store_true")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_graph)
 

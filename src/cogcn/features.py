@@ -3,10 +3,10 @@
 A dataset is a collection of utterances; each utterance carries an (n, d)
 matrix of per-frame feature vectors (one row per analysis frame, e.g. the
 88 eGeMAPS descriptors), a class label, and a speaker id. On disk a dataset
-is a JSON Lines manifest plus one feature file per utterance: the binary
-``.npy`` matrix ``save_dataset`` writes, or a ``frame_index,f0,...`` CSV,
-read line by line so that a fault names ``file:line``. A missing, unreadable
-or non-UTF-8 input (manifest, feature file, checkpoint) fails in ``_reading``.
+is a JSON Lines manifest plus one feature file per utterance: the (n, d)
+float64 matrix as ``np.save`` writes it, ``{id}.npy``. A missing or
+unreadable input (manifest, feature file, checkpoint) and a manifest or
+checkpoint that is not UTF-8 fail in ``_reading``, naming the file.
 
 The synthetic generator produces deterministic corpora in which voiced frames
 cluster per class (with a small per-speaker shift) while a configurable
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -29,7 +28,6 @@ import numpy as np
 from .util import substream, write_text_atomic
 
 STD_FLOOR = 1e-8
-_INT64_MAX = 2**63 - 1  # frame indices are int64
 _SPEAKER_SHIFT = 0.25  # scale of the per-speaker offset in synthetic corpora
 _VACUUM_STD = 3.0  # vacuum frames are loud, directionless noise bursts
 
@@ -161,7 +159,7 @@ class StandardizeStats:
 
 @contextmanager
 def _reading(path: Path, what: str):
-    """Raise a missing, unreadable or non-UTF-8 file as a ``DataError`` naming it."""
+    """Raise a missing or unreadable file, or non-UTF-8 text, as a ``DataError`` naming it."""
     try:
         yield
     except FileNotFoundError as exc:
@@ -174,60 +172,23 @@ def _reading(path: Path, what: str):
 
 
 def _read_text(path: Path, what: str) -> str:
-    """A manifest's, feature file's or checkpoint's text."""
+    """A manifest's or checkpoint's text."""
     with _reading(path, what):
         return path.read_text(encoding="utf-8")
-
-
-def _read_feature_csv(path: Path) -> np.ndarray:
-    """One utterance's (n, d) frames, read line by line; a fault raises ``path:line``.
-
-    Python's ``int`` and ``float`` also take ``_`` digit separators and
-    non-ASCII digits, which the format does not, so both are refused here.
-    """
-    lines = _read_text(path, "feature file").splitlines()
-    if not lines:
-        raise DataError(f"{path}: missing header row")
-    header = lines[0].split(",")
-    if header[0] != "frame_index" or header[1:] != [f"f{i}" for i in range(len(header) - 1)]:
-        raise DataError(f"{path}:1: malformed header '{lines[0]}'")
-    d = len(header) - 1
-    rows, prev_index = [], -1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise DataError(f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {d + 1})")
-        try:
-            frame_index = int(cells[0])
-            values = list(map(float, cells[1:]))
-            if "_" in line:
-                raise ValueError(f"digit separator '_' in '{line}'")
-            # non-ASCII whitespace around a number is allowed, as str.strip() sees it
-            if not line.isascii() and not all(c.strip().isascii() for c in cells):
-                raise ValueError(f"non-ASCII digit in '{line}'")
-        except ValueError as err:
-            raise DataError(f"{path}:{lineno}: {err}") from err
-        if frame_index > _INT64_MAX:
-            raise DataError(f"{path}:{lineno}: frame_index {frame_index} does not fit in int64")
-        if frame_index <= prev_index or (prev_index == -1 and frame_index != 0):
-            raise DataError(f"{path}:{lineno}: frame_index must increase strictly from 0")
-        prev_index = frame_index
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"{path}:{lineno}: non-finite feature value")
-        rows.append(values)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
 
 def _read_feature_npy(path: Path) -> np.ndarray:
     """One utterance's (n, d) frames from a ``.npy`` file, as native C-ordered float64.
 
     The header is checked before any data is read: a 2-D float64 array, of
-    either byte order, whose values fill the rest of the file exactly. So
+    either byte order, whose values fill the rest of the file exactly, with
+    at least one row (else an empty utterance) and one column. So
     nothing is unpickled, and a header that claims more rows than the file
-    holds allocates nothing. A fault is a ``DataError`` naming the file.
+    holds allocates nothing. A fault is a ``DataError`` naming the file;
+    a path not ending in ``.npy`` is one before the file is opened.
     """
+    if path.suffix != ".npy":
+        raise DataError(f'{path}: a feature file must be a .npy matrix (README "Data formats")')
     with _reading(path, "feature file"), path.open("rb") as file:
         try:
             # np.save writes version 2.0 only for headers of more than 64 KiB
@@ -241,6 +202,10 @@ def _read_feature_npy(path: Path) -> np.ndarray:
                 raise ValueError(f"shape {shape} needs {needed} bytes, the file holds {held}")
         except ValueError as exc:
             raise DataError(f"{path}: need a .npy file of one 2-D float64 array: {exc}") from exc
+        if shape[0] == 0:
+            raise DataError(f"{path}: empty utterance (no frame rows)")
+        if shape[1] == 0:
+            raise DataError(f"{path}: the array has no feature column")
         values = np.fromfile(file, dtype=dtype, count=shape[0] * shape[1])
     features = np.ascontiguousarray(values.reshape(shape, order="F" if fortran else "C"), np.float64)
     if not np.isfinite(features).all():
@@ -254,7 +219,7 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
 
     Each manifest line is an object with string values for the keys id,
     path (relative to the manifest), label, speaker, and optional session.
-    A path ending in ``.npy`` is read as a binary matrix, any other as CSV.
+    Every path must name a ``.npy`` feature file (``_read_feature_npy``).
     When ``class_names`` is given the manifest labels must be drawn from it;
     otherwise the sorted set of label strings defines the classes.
     """
@@ -298,18 +263,12 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
                 f"(classes: {', '.join(class_names)})"
             )
         path = manifest_path.parent / entry["path"]
-        npy = path.suffix == ".npy"
-        feats = _read_feature_npy(path) if npy else _read_feature_csv(path)
-        if feats.shape[0] == 0:
-            raise DataError(f"{entry['path']}: empty utterance (no frame rows)")
-        if feats.shape[1] == 0:
-            raise DataError(f"{path}: the array has no feature column" if npy
-                            else f"{path}:1: the header names no feature column")
+        feats = _read_feature_npy(path)
         if d is None:
             d = feats.shape[1]
         elif feats.shape[1] != d:
             raise DataError(
-                f"{entry['path']}: feature dimension {feats.shape[1]} "
+                f"{path}: feature dimension {feats.shape[1]} "
                 f"differs from {d} seen earlier"
             )
         utterances.append(

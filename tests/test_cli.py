@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import cogcn
 from cogcn import DataError, load_checkpoint, load_dataset
 from cogcn.cli import main
-from cogcn.features import _read_feature_csv, feature_csv_text
+from cogcn.features import feature_csv_text
 
 
 def run(argv):
@@ -230,8 +230,9 @@ def npy_header(shape):
 NOT_NPY = "spk00_u000.npy: need a .npy file of one 2-D float64 array: "
 
 # how each fault edits the first manifest entry: a function of it, or a
-# feature file (name, bytes) that the entry is pointed at (None: below); and
-# what `cogcn train` must say about it, naming the file
+# feature file (name, bytes) that the entry is pointed at (bytes None: a
+# directory; edit None: below); and what `cogcn train` must say about it,
+# naming the file
 BAD_INPUTS = {
     "not_an_object": (lambda e: 5, "manifest.jsonl:1: expected a JSON object, got int"),
     "path_number": (lambda e: {**e, "path": 5},
@@ -240,13 +241,11 @@ BAD_INPUTS = {
                    "manifest.jsonl:1: key 'label' must be a string, got [1]"),
     "speaker_number": (lambda e: {**e, "speaker": 3},
                        "manifest.jsonl:1: key 'speaker' must be a string, got 3"),
-    "path_is_directory": (lambda e: {**e, "path": "."},
-                          "tiny: cannot read feature file: Is a directory"),
+    "path_is_directory": (("spk00_u000.npy", None),
+                          "spk00_u000.npy: cannot read feature file: Is a directory"),
     "manifest_not_utf8": (None, "manifest.jsonl: manifest is not UTF-8: byte 0 is 0xff"),
-    "features_not_utf8": (("spk00_u000.csv", b"\xff\n"),
-                          "spk00_u000.csv: feature file is not UTF-8: byte 0 is 0xff"),
-    "header_only_index": (("spk00_u000.csv", b"frame_index\n0\n"),
-                          "spk00_u000.csv:1: the header names no feature column"),
+    "csv_path": (("spk00_u000.csv", b"frame_index,f0\n0,1\n"),
+                 'spk00_u000.csv: a feature file must be a .npy matrix (README "Data formats")'),
     "npy_truncated": (("spk00_u000.npy", npy_bytes(np.ones((4, 4)))[:-8]),
                       NOT_NPY + "shape (4, 4) needs 128 bytes, the file holds 120"),
     "npy_header_claims_1e11_rows": (("spk00_u000.npy", npy_header((10**11, 4))),
@@ -265,6 +264,8 @@ BAD_INPUTS = {
                       NOT_NPY + "the magic string is not correct"),
     "npy_zero_columns": (("spk00_u000.npy", npy_bytes(np.ones((4, 0)))),
                          "spk00_u000.npy: the array has no feature column"),
+    "npy_zero_rows": (("spk00_u000.npy", npy_bytes(np.ones((0, 4)))),
+                      "spk00_u000.npy: empty utterance (no frame rows)"),
 }
 
 
@@ -281,7 +282,11 @@ def test_bad_input_file_is_data_error_naming_it(tmp_path, capsys, fault):
     else:
         if isinstance(edit, tuple):
             name, content = edit
-            (data / name).write_bytes(content)
+            if content is None:
+                (data / name).unlink()
+                (data / name).mkdir()
+            else:
+                (data / name).write_bytes(content)
             entry = {**json.loads(first), "path": name}
         else:
             entry = edit(json.loads(first))
@@ -342,6 +347,23 @@ class TestEval:
                     "--data", other, "-o", out])
         assert code == 2
         assert not (out / "eval_metrics.json").exists()
+
+    def test_csv_feature_path_is_data_error(self, tmp_path, data_dir, trained, capsys):
+        manifest = data_dir / "manifest.jsonl"
+        first, *rest = manifest.read_text().splitlines()
+        entry = json.loads(first)
+        (data_dir / f"{entry['id']}.csv").write_text(
+            feature_csv_text(np.load(data_dir / entry["path"])))
+        manifest.write_text("\n".join([json.dumps({**entry, "path": f"{entry['id']}.csv"}),
+                                       *rest]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "evalout"
+        assert run(["eval", "--ckpt", trained / "fold_spk00.json", "--data", data_dir,
+                    "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert (f"{data_dir / entry['id']}.csv: a feature file must be a .npy matrix"
+                in err and "Traceback" not in err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault", [
         "missing", "invalid_json", "bad_version", "truncated_w_e", "w_e_count",
@@ -472,8 +494,8 @@ class TestGraphCommand:
         assert written == {f"{utt}.dot", f"{utt}.json", f"{utt}_features.csv"}
 
     def test_features_csv_matches_dataset_file(self, tmp_path, data_dir):
-        # `cogcn graph` exports the utterance's features as CSV text, and the
-        # export reads back to the bytes of the dataset's .npy file
+        # `cogcn graph` exports the utterance's features as CSV text, and
+        # float() reads the export back to the bytes of the dataset's .npy file
         entry = json.loads((data_dir / "manifest.jsonl").read_text().splitlines()[3])
         out = tmp_path / "g"
         assert run(["graph", "--data", data_dir, "--utt", entry["id"], "--gamma", 0.5,
@@ -481,7 +503,25 @@ class TestGraphCommand:
         export = out / f"{entry['id']}_features.csv"
         loaded = load_dataset(data_dir).by_id(entry["id"]).features
         assert export.read_text() == feature_csv_text(loaded)
-        assert npy_bytes(_read_feature_csv(export)) == (data_dir / entry["path"]).read_bytes()
+        header, *rows = (line.split(",") for line in export.read_text().splitlines())
+        assert header == ["frame_index", *(f"f{i}" for i in range(loaded.shape[1]))]
+        assert [int(row[0]) for row in rows] == list(range(loaded.shape[0]))
+        back = np.array([[float(v) for v in row[1:]] for row in rows])
+        assert npy_bytes(back) == (data_dir / entry["path"]).read_bytes()
+
+    @pytest.mark.parametrize("flags, utt", [
+        (["--gamma", 0.5, "--temporal"], "spk00_u000"),  # gamma would go unused
+        ([], "nope"),  # the usage fault, not the unknown id, is reported
+    ], ids=["both", "neither"])
+    def test_gamma_or_temporal_is_one_required_choice(self, tmp_path, data_dir, capsys,
+                                                        flags, utt):
+        capsys.readouterr()
+        out = tmp_path / "g"
+        assert run(["graph", "--data", data_dir, "--utt", utt, *flags, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert ("not allowed with argument --gamma" if flags
+                else "one of the arguments --gamma --temporal is required") in err
+        assert "unknown utterance" not in err and not out.exists()
 
     def test_unknown_utterance_lists_ids(self, tmp_path, data_dir, capsys):
         code = run(["graph", "--data", data_dir, "--utt", "nope", "--gamma",

@@ -1,6 +1,7 @@
 """Ingestion, standardization, and the synthetic generator."""
 
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -25,11 +26,9 @@ from cogcn import (
 )
 
 
-def write_feature_csv(path, matrix):
-    d = len(matrix[0])
-    header = "frame_index," + ",".join(f"f{i}" for i in range(d))
-    rows = [f"{i}," + ",".join(str(v) for v in row) for i, row in enumerate(matrix)]
-    path.write_text("\n".join([header, *rows]) + "\n")
+def write_features(path, matrix):
+    """A feature file: ``matrix`` as float64, saved with ``np.save``."""
+    np.save(path, np.asarray(matrix, dtype=np.float64))
 
 
 def write_manifest(path, entries):
@@ -40,16 +39,26 @@ def write_manifest(path, entries):
 def tiny_corpus(tmp_path):
     """Two utterances of 5x88 and 7x88 frames, two speakers."""
     rng = np.random.default_rng(0)
-    write_feature_csv(tmp_path / "u1.csv", rng.standard_normal((5, 88)).tolist())
-    write_feature_csv(tmp_path / "u2.csv", rng.standard_normal((7, 88)).tolist())
+    write_features(tmp_path / "u1.npy", rng.standard_normal((5, 88)))
+    write_features(tmp_path / "u2.npy", rng.standard_normal((7, 88)))
     write_manifest(
         tmp_path / "manifest.jsonl",
         [
-            {"id": "u1", "path": "u1.csv", "label": "joy", "speaker": "a", "session": "s0"},
-            {"id": "u2", "path": "u2.csv", "label": "anger", "speaker": "b", "session": "s0"},
+            {"id": "u1", "path": "u1.npy", "label": "joy", "speaker": "a", "session": "s0"},
+            {"id": "u2", "path": "u2.npy", "label": "anger", "speaker": "b", "session": "s0"},
         ],
     )
     return tmp_path
+
+
+def one_utterance(tmp_path, matrix):
+    """A manifest of one utterance whose features, ``u.npy``, are ``matrix``."""
+    write_features(tmp_path / "u.npy", matrix)
+    write_manifest(
+        tmp_path / "manifest.jsonl",
+        [{"id": "u", "path": "u.npy", "label": "x", "speaker": "a"}],
+    )
+    return tmp_path / "manifest.jsonl"
 
 
 class TestLoadDataset:
@@ -65,176 +74,59 @@ class TestLoadDataset:
         assert len(load_dataset(tiny_corpus).utterances) == 2
 
     def test_non_finite_value_rejected(self, tmp_path):
-        write_feature_csv(tmp_path / "u.csv", [[1.0, 2.0], [np.nan, 0.0]])
-        write_manifest(
-            tmp_path / "manifest.jsonl",
-            [{"id": "u", "path": "u.csv", "label": "x", "speaker": "a"}],
-        )
-        with pytest.raises(DataError, match="non-finite feature value"):
-            load_dataset(tmp_path / "manifest.jsonl")
+        manifest = one_utterance(tmp_path, [[1.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(DataError, match=re.escape("u.npy: row 1: non-finite feature value")):
+            load_dataset(manifest)
 
     def test_empty_utterance_rejected(self, tmp_path):
-        (tmp_path / "u.csv").write_text("frame_index,f0,f1\n")
-        write_manifest(
-            tmp_path / "manifest.jsonl",
-            [{"id": "u", "path": "u.csv", "label": "x", "speaker": "a"}],
-        )
-        with pytest.raises(DataError, match="empty utterance"):
-            load_dataset(tmp_path / "manifest.jsonl")
+        # named by its full path, as every other feature-file fault is
+        manifest = one_utterance(tmp_path, np.empty((0, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'u.npy'))}: "
+                                                r"empty utterance \(no frame rows\)$"):
+                load_dataset(manifest)
 
     def test_missing_feature_file(self, tmp_path):
         write_manifest(
             tmp_path / "manifest.jsonl",
-            [{"id": "u", "path": "absent.csv", "label": "x", "speaker": "a"}],
+            [{"id": "u", "path": "absent.npy", "label": "x", "speaker": "a"}],
         )
-        with pytest.raises(DataError, match="not found"):
+        with pytest.raises(DataError, match=re.escape("absent.npy: feature file not found")):
             load_dataset(tmp_path / "manifest.jsonl")
 
-    def test_ragged_row(self, tmp_path):
-        (tmp_path / "u.csv").write_text("frame_index,f0,f1\n0,1.0,2.0\n1,3.0\n")
+    @pytest.mark.parametrize("name", ["u.csv", "u", "u.npy.txt", "u.NPY"])
+    def test_feature_file_must_be_npy(self, tmp_path, name):
+        # refused by its name: the file is never opened, so it need not exist
         write_manifest(
             tmp_path / "manifest.jsonl",
-            [{"id": "u", "path": "u.csv", "label": "x", "speaker": "a"}],
+            [{"id": "u", "path": name, "label": "x", "speaker": "a"}],
         )
-        with pytest.raises(DataError, match="ragged row"):
+        message = f'{tmp_path / name}: a feature file must be a .npy matrix (README "Data formats")'
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_dataset(tmp_path / "manifest.jsonl")
 
     def test_dimension_mismatch_across_utterances(self, tmp_path):
-        write_feature_csv(tmp_path / "u1.csv", [[1.0, 2.0]])
-        write_feature_csv(tmp_path / "u2.csv", [[1.0, 2.0, 3.0]])
+        # named by its full path, as every other feature-file fault is
+        write_features(tmp_path / "u1.npy", [[1.0, 2.0]])
+        write_features(tmp_path / "u2.npy", [[1.0, 2.0, 3.0]])
         write_manifest(
             tmp_path / "manifest.jsonl",
             [
-                {"id": "u1", "path": "u1.csv", "label": "x", "speaker": "a"},
-                {"id": "u2", "path": "u2.csv", "label": "x", "speaker": "a"},
+                {"id": "u1", "path": "u1.npy", "label": "x", "speaker": "a"},
+                {"id": "u2", "path": "u2.npy", "label": "x", "speaker": "a"},
             ],
         )
-        with pytest.raises(DataError, match="dimension"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'u2.npy'))}: "
+                                            "feature dimension 3 differs from 2 seen earlier$"):
             load_dataset(tmp_path / "manifest.jsonl")
 
     def test_unknown_label_against_fixed_classes(self, tiny_corpus):
         with pytest.raises(DataError, match="unknown label"):
             load_dataset(tiny_corpus / "manifest.jsonl", class_names=("anger", "sad"))
 
-    def test_frame_index_must_start_at_zero(self, tmp_path):
-        (tmp_path / "u.csv").write_text("frame_index,f0\n1,1.0\n2,2.0\n")
-        write_manifest(
-            tmp_path / "manifest.jsonl",
-            [{"id": "u", "path": "u.csv", "label": "x", "speaker": "a"}],
-        )
-        with pytest.raises(DataError, match="frame_index"):
-            load_dataset(tmp_path / "manifest.jsonl")
-
-
-def per_line_reader(path: Path) -> np.ndarray:
-    """The feature-file reader before the bulk parse: one int() and d float()s
-    per line. An oracle for the outcome (array or error text) of a file."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"{path}: missing header row")
-    header = lines[0].split(",")
-    if header[0] != "frame_index" or header[1:] != [
-        f"f{i}" for i in range(len(header) - 1)
-    ]:
-        raise DataError(f"{path}:1: malformed header '{lines[0]}'")
-    d = len(header) - 1
-    rows = []
-    prev_index = -1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise DataError(
-                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {d + 1})"
-            )
-        try:
-            frame_index = int(cells[0])
-            values = [float(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if frame_index <= prev_index or (prev_index == -1 and frame_index != 0):
-            raise DataError(
-                f"{path}:{lineno}: frame_index must increase strictly from 0"
-            )
-        prev_index = frame_index
-        if not all(np.isfinite(values)):
-            raise DataError(f"{path}:{lineno}: non-finite feature value")
-        rows.append(values)
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
-
-
-def outcome(reader, path):
-    """What a reader makes of a file: (dtype, shape, bytes) or the error text."""
-    try:
-        out = reader(path)
-    except DataError as exc:
-        return str(exc)
-    return out.dtype, out.shape, out.tobytes()
-
-
-HEADER = b"frame_index,f0,f1\n"
-
-# (name, file bytes): each file is read alike by the bulk parse and the oracle
-EDGE_FILES = [
-    ("clean", HEADER + b"0,1.5,2\n1,3,-4e-3\n"),
-    ("no trailing newline", HEADER + b"0,1.5,2\n1,3,4"),
-    ("blank lines", HEADER + b"\n0,1.5,2\n\n1,3,4\n\n"),
-    ("crlf", HEADER.replace(b"\n", b"\r\n") + b"0,1.5,2\r\n1,3,4\r\n"),
-    ("spaced cells", HEADER + b"0, 1.5 ,2\n 1 ,\t3,4 \n"),
-    ("plus sign index", HEADER + b"+0,1,2\n+1,3,4\n"),
-    ("float index", HEADER + b"0,1,2\n1.0,3,4\n"),
-    ("index gap", HEADER + b"0,1,2\n5,3,4\n"),
-    ("repeated index", HEADER + b"0,1,2\n0,3,4\n"),
-    ("index from 1", HEADER + b"1,1,2\n2,3,4\n"),
-    ("negative index", HEADER + b"-1,1,2\n"),
-    ("decreasing index", HEADER + b"0,1,2\n1,1,2\n2,1,2\n1,1,2\n"),
-    ("word", HEADER + b"0,1,2\n1,abc,2\n"),
-    ("empty cell", HEADER + b"0,,2\n"),
-    ("short row", HEADER + b"0,1,2\n1,3\n"),
-    ("long row", HEADER + b"0,1,2,3\n"),
-    ("trailing comma", HEADER + b"0,1,2,\n"),
-    ("nan", HEADER + b"0,1,2\n1,nan,2\n"),
-    ("-inf", HEADER + b"0,-inf,2\n"),
-    ("overflow", HEADER + b"0,1e400,2\n"),
-    ("nan before a bad index", HEADER + b"0,nan,2\n0,1,2\n"),
-    ("bad index before a word", HEADER + b"1,1,2\n2,x,2\n"),
-    ("header only", HEADER),
-    ("header and blank lines", HEADER + b"\n\n"),
-    ("empty file", b""),
-    ("malformed header", b"frame_index,f1\n0,1\n"),
-    ("comment line", HEADER + b"# note\n0,1,2\n"),
-    ("trailing comment", HEADER + b"0,1,2 # note\n"),
-    ("quoted cell", HEADER + b'0,"1",2\n'),
-    ("hex", HEADER + b"0,0x1,2\n"),
-    ("whitespace-only line", HEADER + b"0,1,2\n   \n1,3,4\n"),
-    ("vertical tab splits lines", HEADER + b"0,1,2\x0b1,3,4\n"),
-    ("no feature columns", b"frame_index\n0\n1\n"),
-]
-
 
 class TestFeatureReader:
-    @pytest.mark.parametrize("name, content", EDGE_FILES, ids=[n for n, _ in EDGE_FILES])
-    def test_same_outcome_as_per_line_reader(self, tmp_path, name, content):
-        path = tmp_path / "u.csv"
-        path.write_bytes(content)
-        assert outcome(features._read_feature_csv, path) == outcome(per_line_reader, path)
-
-    @pytest.mark.parametrize("spec", [
-        SynthSpec(n_speakers=2, utt_per_speaker=4, frames_lo=16, frames_hi=32, d=8, seed=1),
-        SynthSpec(n_speakers=2, utt_per_speaker=2, frames_lo=100, frames_hi=300, d=88,
-                  cluster_sep=12.0, seed=1),
-    ], ids=["desk", "reference"])
-    def test_byte_equal_to_per_line_reader(self, tmp_path, spec):
-        for utt in synth_dataset(spec).utterances:
-            (tmp_path / f"{utt.id}.csv").write_text(features.feature_csv_text(utt.features))
-        paths = sorted(tmp_path.glob("*.csv"))
-        assert paths
-        for path in paths:
-            new, old = features._read_feature_csv(path), per_line_reader(path)
-            assert new.flags.c_contiguous
-            assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
-
     @pytest.mark.parametrize("order", [">f8", "F"])
     def test_npy_of_either_byte_or_memory_order_reads_native_c_float64(self, tmp_path, order):
         x = np.arange(12.0).reshape(3, 4) / 7
@@ -257,58 +149,6 @@ class TestFeatureReader:
         with pytest.raises(DataError, match=rf"^{path}: .*needs {needed} bytes, "
                                             rf"the file holds {len(data)}$"):
             features._read_feature_npy(path)
-
-    @pytest.mark.parametrize("row", ["1,1_5,2", "1_0,1,2"])
-    def test_digit_separator_rejected_with_line(self, tmp_path, row):
-        # int() and float() take '1_5'; the bulk parse does not, so neither do we
-        path = tmp_path / "u.csv"
-        path.write_bytes(HEADER + b"0,1,2\n" + row.encode() + b"\n")
-        assert per_line_reader(path).shape == (2, 2)
-        with pytest.raises(DataError, match=rf"^{path}:3: digit separator '_' in '{row}'$"):
-            features._read_feature_csv(path)
-
-    @pytest.mark.parametrize("row", ["1,\u0661,2", "99999999999999999999,1,2"])
-    def test_what_only_python_parses_is_a_data_error(self, tmp_path, row):
-        # non-ASCII digits and an index beyond int64 fail with their line,
-        # never as a raw ValueError
-        message = {
-            "1,\u0661,2": "non-ASCII digit in '1,\u0661,2'",
-            "99999999999999999999,1,2": "frame_index 99999999999999999999 does not fit in int64",
-        }[row]
-        path = tmp_path / "u.csv"
-        path.write_text(f"frame_index,f0,f1\n0,1,2\n{row}\n", encoding="utf-8")
-        assert per_line_reader(path).shape == (2, 2)
-        with pytest.raises(DataError, match=rf"^{path}:3: {message}$"):
-            features._read_feature_csv(path)
-
-    @pytest.mark.parametrize("row", [
-        "1,\xa03,4", "1,3\u2003,4", "\u30001,3,4", "1\u202f,3,\u205f4", "\xa01\xa0,\u20093\u200a,4",
-    ])
-    def test_non_ascii_whitespace_around_a_number_is_read(self, tmp_path, row):
-        # int() and float() strip it, as str.strip() does
-        path = tmp_path / "u.csv"
-        path.write_text(f"frame_index,f0,f1\n0,1,2\n{row}\n", encoding="utf-8")
-        got = features._read_feature_csv(path)
-        assert got.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
-        assert outcome(features._read_feature_csv, path) == outcome(per_line_reader, path)
-
-    @pytest.mark.parametrize("cell", ["\u0661", "1.\u0665", "\u00b2", "\uff11", " \u0661\xa0"])
-    def test_non_ascii_digit_rejected_with_line(self, tmp_path, cell):
-        path = tmp_path / "u.csv"
-        path.write_text(f"frame_index,f0,f1\n0,1,2\n1,3,{cell}\n", encoding="utf-8")
-        with pytest.raises(DataError, match=rf"^{path}:3: "):
-            features._read_feature_csv(path)
-
-    def test_header_only_is_empty_utterance_without_warning(self, tmp_path):
-        (tmp_path / "u.csv").write_bytes(HEADER)
-        write_manifest(
-            tmp_path / "manifest.jsonl",
-            [{"id": "u", "path": "u.csv", "label": "x", "speaker": "a"}],
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match="empty utterance"):
-                load_dataset(tmp_path / "manifest.jsonl")
 
 
 class TestStandardizer:
@@ -448,33 +288,27 @@ class TestRoundTrip:
                        elements=st.floats(allow_nan=False, allow_infinity=False)),
             min_size=1, max_size=4)),
         fortran=st.booleans(),
-        as_csv=st.lists(st.booleans(), min_size=4, max_size=4),
+        resave=st.lists(st.sampled_from([None, "<f8", ">f8", "F"]), min_size=4, max_size=4),
     )
-    def test_npy_and_csv_files_load_to_the_saved_bits(self, frames, fortran, as_csv):
+    def test_npy_files_load_to_the_saved_bits(self, frames, fortran, resave):
         # save_dataset's .npy files load bit-exact and C-contiguous, whatever
-        # the memory order saved; a manifest mixing .csv and .npy entries
-        # loads to the bytes of an all-CSV copy
+        # the memory order saved; so do files np.save wrote in either byte or
+        # memory order, in place of some of them
         utts = tuple(Utterance(f"u{i}", np.asfortranarray(x) if fortran else x, 0, "a")
                      for i, x in enumerate(frames))
         ds = Dataset(utts, frames[0].shape[1], ("x",))
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             save_dataset(ds, out)
-            saved = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
-            for utt in utts:
-                (out / f"{utt.id}.csv").write_text(features.feature_csv_text(utt.features))
-            as_csv_entries = [{**e, "path": f"{e['id']}.csv"} for e in saved]
-            write_manifest(out / "csv.jsonl", as_csv_entries)
-            write_manifest(out / "mixed.jsonl", [c if flag else e for e, c, flag
-                                                 in zip(saved, as_csv_entries, as_csv)])
-            npy, csv, mixed = (load_dataset(out / name).utterances
-                               for name in ("manifest.jsonl", "csv.jsonl", "mixed.jsonl"))
-        for utt, x, y, z in zip(utts, npy, csv, mixed, strict=True):
-            assert all(u.features.dtype == np.float64 and u.features.flags.c_contiguous
-                       for u in (x, y, z))
-            assert x.features.tobytes() == utt.features.tobytes()
-            assert z.features.tobytes() == y.features.tobytes()
-            assert x.features.shape == y.features.shape == z.features.shape == utt.features.shape
+            for utt, order in zip(utts, resave):
+                if order is not None:
+                    x = np.asfortranarray(utt.features) if order == "F" else utt.features
+                    np.save(out / f"{utt.id}.npy", x.astype(">f8" if order == ">f8" else "<f8"))
+            loaded = load_dataset(out).utterances
+        for utt, back in zip(utts, loaded, strict=True):
+            assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
+            assert back.features.shape == utt.features.shape
+            assert back.features.tobytes() == utt.features.tobytes()
 
     def test_duplicate_ids_rejected(self):
         # two utterances saved under one id would share one feature file

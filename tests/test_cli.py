@@ -244,6 +244,12 @@ BAD_INPUTS = {
     "path_is_directory": (("spk00_u000.npy", None),
                           "spk00_u000.npy: cannot read feature file: Is a directory"),
     "manifest_not_utf8": (None, "manifest.jsonl: manifest is not UTF-8: byte 0 is 0xff"),
+    # bytes that are not UTF-8 text, too few for the .npy magic string
+    "features_not_utf8": (("spk00_u000.npy", b"\xff\n"),
+                          NOT_NPY + "EOF: reading magic string, expected 8 bytes got 2"),
+    # one frame index and no feature column
+    "header_only_index": (("spk00_u000.npy", npy_bytes(np.ones((1, 0)))),
+                          "spk00_u000.npy: the array has no feature column"),
     "csv_path": (("spk00_u000.csv", b"frame_index,f0\n0,1\n"),
                  'spk00_u000.csv: a feature file must be a .npy matrix (README "Data formats")'),
     "npy_truncated": (("spk00_u000.npy", npy_bytes(np.ones((4, 4)))[:-8]),

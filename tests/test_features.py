@@ -81,11 +81,9 @@ class TestLoadDataset:
     def test_empty_utterance_rejected(self, tmp_path):
         # named by its full path, as every other feature-file fault is
         manifest = one_utterance(tmp_path, np.empty((0, 2)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'u.npy'))}: "
-                                                r"empty utterance \(no frame rows\)$"):
-                load_dataset(manifest)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'u.npy'))}: "
+                                            r"empty utterance \(no frame rows\)$"):
+            load_dataset(manifest)
 
     def test_missing_feature_file(self, tmp_path):
         write_manifest(
@@ -94,6 +92,16 @@ class TestLoadDataset:
         )
         with pytest.raises(DataError, match=re.escape("absent.npy: feature file not found")):
             load_dataset(tmp_path / "manifest.jsonl")
+
+    def test_ragged_row(self, tmp_path):
+        # the last row stops short of d values, so the data does not fill the file
+        manifest = one_utterance(tmp_path, [[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "u.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match=re.escape(
+                "u.npy: need a .npy file of one 2-D float64 array: "
+                "shape (2, 2) needs 32 bytes, the file holds 24")):
+            load_dataset(manifest)
 
     @pytest.mark.parametrize("name", ["u.csv", "u", "u.npy.txt", "u.NPY"])
     def test_feature_file_must_be_npy(self, tmp_path, name):
@@ -126,7 +134,72 @@ class TestLoadDataset:
             load_dataset(tiny_corpus / "manifest.jsonl", class_names=("anger", "sad"))
 
 
+def per_line_reader(path: Path) -> np.ndarray:
+    """Read a ``feature_csv_text`` export back, one int() and d float()s per
+    line, and hold it to the feature-file rules in the .npy reader's words.
+    An oracle for the outcome (array or error text) of the matrix exported."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    d = len(header.split(",")) - 1
+    rows = []
+    for row, line in enumerate(lines):
+        index, *cells = line.split(",")
+        assert int(index) == row and len(cells) == d
+        values = [float(cell) for cell in cells]
+        if not all(np.isfinite(values)):
+            raise DataError(f"{path}: row {row}: non-finite feature value")
+        rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: empty utterance (no frame rows)")
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: (dtype, shape, bytes) or the error text
+    after the file's path."""
+    try:
+        out = reader(path)
+    except DataError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+    return out.dtype, out.shape, out.tobytes()
+
+
+BIG = np.finfo(np.float64).max
+
+# (name, matrix): each reads alike saved as .npy and exported as CSV
+EDGE_MATRICES = [
+    ("clean", [[1.5, 2.0], [3.0, -4e-3]]),
+    ("nan", [[1.0, 2.0], [np.nan, 2.0]]),
+    ("-inf", [[-np.inf, 2.0]]),
+    ("overflow", [[BIG, -BIG], [5e-324, -0.0]]),  # the last values before it, and the least
+    ("header only", np.empty((0, 2))),
+]
+
+
 class TestFeatureReader:
+    @pytest.mark.parametrize("name, matrix", EDGE_MATRICES, ids=[n for n, _ in EDGE_MATRICES])
+    def test_same_outcome_as_per_line_reader(self, tmp_path, name, matrix):
+        write_features(tmp_path / "u.npy", matrix)
+        (tmp_path / "u.csv").write_text(features.feature_csv_text(np.asarray(matrix, np.float64)))
+        assert (outcome(features._read_feature_npy, tmp_path / "u.npy")
+                == outcome(per_line_reader, tmp_path / "u.csv"))
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_speakers=2, utt_per_speaker=4, frames_lo=16, frames_hi=32, d=8, seed=1),
+        SynthSpec(n_speakers=2, utt_per_speaker=2, frames_lo=100, frames_hi=300, d=88,
+                  cluster_sep=12.0, seed=1),
+    ], ids=["desk", "reference"])
+    def test_byte_equal_to_per_line_reader(self, tmp_path, spec):
+        # save_dataset's files and their CSV exports read to the generator's bytes
+        ds = synth_dataset(spec)
+        save_dataset(ds, tmp_path / "ds")
+        for utt in ds.utterances:
+            (tmp_path / f"{utt.id}.csv").write_text(features.feature_csv_text(utt.features))
+            new = features._read_feature_npy(tmp_path / "ds" / f"{utt.id}.npy")
+            old = per_line_reader(tmp_path / f"{utt.id}.csv")
+            assert new.flags.c_contiguous
+            assert ((new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
+                    == (np.float64, utt.features.shape, utt.features.tobytes()))
+
     @pytest.mark.parametrize("order", [">f8", "F"])
     def test_npy_of_either_byte_or_memory_order_reads_native_c_float64(self, tmp_path, order):
         x = np.arange(12.0).reshape(3, 4) / 7
@@ -149,6 +222,19 @@ class TestFeatureReader:
         with pytest.raises(DataError, match=rf"^{path}: .*needs {needed} bytes, "
                                             rf"the file holds {len(data)}$"):
             features._read_feature_npy(path)
+
+    def test_header_only_is_empty_utterance_without_warning(self, tmp_path):
+        with (tmp_path / "u.npy").open("wb") as file:
+            np.lib.format.write_array_header_1_0(
+                file, {"descr": "<f8", "fortran_order": False, "shape": (0, 88)})
+        write_manifest(
+            tmp_path / "manifest.jsonl",
+            [{"id": "u", "path": "u.npy", "label": "x", "speaker": "a"}],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape("u.npy: empty utterance")):
+                load_dataset(tmp_path / "manifest.jsonl")
 
 
 class TestStandardizer:
@@ -290,10 +376,11 @@ class TestRoundTrip:
         fortran=st.booleans(),
         resave=st.lists(st.sampled_from([None, "<f8", ">f8", "F"]), min_size=4, max_size=4),
     )
-    def test_npy_files_load_to_the_saved_bits(self, frames, fortran, resave):
+    def test_npy_and_csv_files_load_to_the_saved_bits(self, frames, fortran, resave):
         # save_dataset's .npy files load bit-exact and C-contiguous, whatever
         # the memory order saved; so do files np.save wrote in either byte or
-        # memory order, in place of some of them
+        # memory order, in place of some of them; and each utterance's CSV
+        # export reads back to the same bits
         utts = tuple(Utterance(f"u{i}", np.asfortranarray(x) if fortran else x, 0, "a")
                      for i, x in enumerate(frames))
         ds = Dataset(utts, frames[0].shape[1], ("x",))
@@ -304,11 +391,13 @@ class TestRoundTrip:
                 if order is not None:
                     x = np.asfortranarray(utt.features) if order == "F" else utt.features
                     np.save(out / f"{utt.id}.npy", x.astype(">f8" if order == ">f8" else "<f8"))
+                (out / f"{utt.id}.csv").write_text(features.feature_csv_text(utt.features))
             loaded = load_dataset(out).utterances
-        for utt, back in zip(utts, loaded, strict=True):
+            exported = [per_line_reader(out / f"{utt.id}.csv") for utt in utts]
+        for utt, back, csv in zip(utts, loaded, exported, strict=True):
             assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
-            assert back.features.shape == utt.features.shape
-            assert back.features.tobytes() == utt.features.tobytes()
+            assert back.features.shape == csv.shape == utt.features.shape
+            assert back.features.tobytes() == csv.tobytes() == utt.features.tobytes()
 
     def test_duplicate_ids_rejected(self):
         # two utterances saved under one id would share one feature file

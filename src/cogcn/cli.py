@@ -34,7 +34,6 @@ from .gradcheck import run_gradcheck
 from .model import ModelConfig, load_checkpoint, param_count, save_checkpoint
 from .training import (
     TrainConfig,
-    check_grids,
     evaluate,
     CVResult,
     loso_cv,
@@ -133,14 +132,12 @@ def cmd_synth(args) -> int:
 
 
 def _train_config(args, dataset) -> TrainConfig:
-    # before the model config takes its K from the grid, so a fault names the grid
-    check_grids(args.k, args.gamma)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    # num_layers keeps its default: run_fold sets each trial's K from the grid
     model = ModelConfig(
         in_dim=dataset.d,
         hidden_dim=args.z,
-        num_layers=args.k[0],
         num_classes=dataset.n_classes,
         use_pre=not args.no_pre,
         use_skip=not args.no_skip,
@@ -214,9 +211,8 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(Path(args.ckpt))
     dataset = load_dataset(args.data, class_names=ckpt.class_names)
     if dataset.d != ckpt.config.in_dim:
-        raise DataError(
-            f"dataset d={dataset.d} does not match checkpoint in_dim={ckpt.config.in_dim}"
-        )
+        raise DataError(f"{args.data}: feature dimension d={dataset.d} does not match "
+                        f"{args.ckpt} in_dim={ckpt.config.in_dim}")
     if args.speaker:
         dataset = dataset.subset_speakers([args.speaker])
 

@@ -227,7 +227,7 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.jsonl"
 
-    entries = []
+    entries, first_line = [], {}  # first_line: the manifest line of each id
     for lineno, line in enumerate(_read_text(manifest_path, "manifest").splitlines(), start=1):
         if not line.strip():
             continue
@@ -244,6 +244,9 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
             if not isinstance(obj.get(key, ""), str):
                 raise DataError(f"{manifest_path}:{lineno}: key '{key}' must be a string, "
                                 f"got {json.dumps(obj[key])}")
+        if (first := first_line.setdefault(obj["id"], lineno)) != lineno:
+            raise DataError(f"{manifest_path}:{lineno}: duplicate utterance id '{obj['id']}' "
+                            f"(first on line {first})")
         entries.append(obj)
     if not entries:
         raise DataError(f"{manifest_path}: empty manifest")

@@ -41,7 +41,8 @@ class Graph:
 
 
 def _as_feature_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as a C-contiguous float64 matrix, copied only if it is not one already."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"feature matrix must be 2-d, got shape {x.shape}")
     if x.shape[0] < 1:
@@ -61,7 +62,7 @@ def _raw_cosine(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A nonzero row whose squared norm is outside [2**-511, 2**511] is first
     scaled, exactly, by the power of two that brings its largest magnitude
-    into [0.5, 1); the other rows of a contiguous ``x`` keep their bits.
+    into [0.5, 1); the other rows keep their bits.
     """
     sq = np.einsum("ij,ij->i", x, x)
     low = sq.min()
@@ -79,8 +80,6 @@ def _raw_cosine(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     denom = np.multiply.outer(sq, sq)
     np.sqrt(denom, out=denom)
     sim = x @ x.T
-    if not (x.flags.c_contiguous or x.flags.f_contiguous):  # see cosine_similarity_matrix
-        sim = np.triu(sim) + np.triu(sim, 1).T
     if low > 0.0:  # then every entry of denom is at least 2**-511
         return sq, np.divide(sim, denom, out=sim)
     return sq, np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 0.0)
@@ -91,9 +90,10 @@ def cosine_similarity_matrix(x) -> np.ndarray:
 
     Rows with zero norm get similarity 0 everywhere, including the diagonal:
     an all-zero frame carries no directional information. The diagonal of
-    every other row is exactly 1. Symmetry is exact: numpy mirrors the
-    triangle of ``x @ x.T`` (a symmetric rank-k update) for a contiguous
-    ``x``, and ``_raw_cosine`` mirrors it for a strided one.
+    every other row is exactly 1. Symmetry is exact: ``x`` is taken in C
+    order, for which numpy computes ``x @ x.T`` as a symmetric rank-k update
+    and mirrors its triangle. So the result depends only on the values of
+    ``x``, not on its memory layout.
     """
     sq, sim = _raw_cosine(_as_feature_matrix(x))
     np.fill_diagonal(sim, np.where(sq > 0.0, 1.0, 0.0))

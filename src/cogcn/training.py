@@ -58,24 +58,19 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        check_grids(self.k_grid, self.gamma_grid)
+        if not self.gamma_grid or not self.k_grid:
+            raise ValueError("selection grids must be non-empty")
+        if min(self.k_grid) < 1:
+            raise ValueError(f"every K in the grid must be >= 1, got {self.k_grid}")
+        if not all(-1.0 < g <= 1.0 for g in self.gamma_grid):
+            raise ValueError(f"every gamma in the grid must be in (-1, 1], got {self.gamma_grid}")
+        for name, grid in (("K", self.k_grid), ("gamma", self.gamma_grid)):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"the {name} grid repeats a value: {grid}")
         if self.graph_kind not in GRAPH_KINDS:
             raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-def check_grids(k_grid: tuple, gamma_grid: tuple) -> None:
-    """Reject an empty grid, a K below 1, a gamma outside (-1, 1] or a repeat."""
-    if not gamma_grid or not k_grid:
-        raise ValueError("selection grids must be non-empty")
-    if min(k_grid) < 1:
-        raise ValueError(f"every K in the grid must be >= 1, got {k_grid}")
-    if not all(-1.0 < g <= 1.0 for g in gamma_grid):
-        raise ValueError(f"every gamma in the grid must be in (-1, 1], got {gamma_grid}")
-    for name, grid in (("K", k_grid), ("gamma", gamma_grid)):
-        if len(set(grid)) != len(grid):
-            raise ValueError(f"the {name} grid repeats a value: {grid}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +573,7 @@ def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
     the result identical to serial execution.
     """
     indices = range(len(dataset.speakers))
-    for i in indices:  # a split run_fold would refuse fails here, before any pool starts
-        _fold_speakers(dataset, i)
+    _fold_speakers(dataset, 0)  # the three-speaker rule, checked before any pool starts
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays the import
 

@@ -458,13 +458,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "class names" in err
 
-    def test_dimension_mismatch(self, tmp_path, trained):
+    def test_dimension_mismatch(self, tmp_path, trained, capsys):
         other = tmp_path / "otherd"
         assert run(["synth", "--classes", 4, "--speakers", 2, "--utts", 2,
                     "--dim", 5, "--frames-lo", 4, "--frames-hi", 8,
                     "-o", other]) == 0
-        assert run(["eval", "--ckpt", trained / "fold_spk00.json",
-                    "--data", other]) == 2
+        ckpt = trained / "fold_spk00.json"
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", other]) == 2
+        # both inputs are named, so the reader knows which two files disagree
+        assert (f"error: {other}: feature dimension d=5 does not match {ckpt} in_dim=6\n"
+                == capsys.readouterr().err)
 
 
 class TestGraphCommand:
@@ -725,6 +729,23 @@ def test_output_path_is_claimed_before_any_data_is_read(tiny_run, command, kind)
         assert code == 0 and (out / "run_manifest.json").is_file()
     if kind == "non_empty":
         assert (out / "keep.txt").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "graph"])
+def test_repeated_id_is_named_before_any_feature_file_is_read(tiny_run, tmp_path, capsys,
+                                                              command):
+    # a manifest whose feature files are all missing: only the repeat can be reported
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (tiny_run / "data" / "manifest.jsonl").read_text().splitlines()
+    repeat = {**json.loads(lines[3]), "id": json.loads(lines[1])["id"]}
+    (data / "manifest.jsonl").write_text(
+        "\n".join([*lines[:3], json.dumps(repeat), *lines[4:]]) + "\n")
+    argv = [data if a == tiny_run / "data" else a for a in OUTPUT_COMMANDS[command](tiny_run)]
+    capsys.readouterr()
+    assert run(argv + ["-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (f"error: {data / 'manifest.jsonl'}:4: duplicate utterance "
+                                       f"id '{repeat['id']}' (first on line 2)\n")
 
 
 def test_import_does_not_load_the_process_pool():

@@ -196,9 +196,16 @@ def parent_cosine_graph(x, gamma, include_self):
     return adjacency, degree_hat, parent_coefficients(adjacency, degree_hat, include_self)
 
 
+def layouts(x):
+    """The values of ``x`` in C order, in Fortran order and as two kinds of column
+    slice: unit stride with wider rows, and strided columns."""
+    return (np.ascontiguousarray(x), np.asfortranarray(x),
+            np.hstack([x, x + 1.0])[:, : x.shape[1]], np.repeat(x, 2, axis=1)[:, ::2])
+
+
 def oracle_inputs():
     """Zero-norm, collinear and duplicate rows and one-frame inputs, each in
-    C order, Fortran order and as two kinds of column slice."""
+    the four ``layouts``."""
     rng = np.random.default_rng(21)
     bases = [np.array([[3.0, -1.0]]), np.zeros((1, 3)), np.zeros((3, 2)),
              np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [-3.0, -3.0]])]
@@ -211,21 +218,22 @@ def oracle_inputs():
         x[rng.integers(n)] = x[rng.integers(n)] * float(rng.integers(1, 4))
         bases.append(x)
     # sizes at which numpy's product of a strided matrix with itself is not
-    # exactly symmetric, so that only the mirror in graph.py keeps it so
+    # exactly symmetric; graph.py takes every input in C order, so its product
+    # is symmetric and its bits are those of the C-order copy
     bases += [rng.standard_normal((n, d)) for n, d in ((201, 80), (236, 13), (273, 52))]
     for x in bases:
-        yield x
-        yield np.asfortranarray(x)
-        yield np.hstack([x, x + 1.0])[:, : x.shape[1]]  # unit stride, wider rows
-        yield np.repeat(x, 2, axis=1)[:, ::2]  # strided columns
+        yield from layouts(x)
 
 
 @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 0.55, 0.6, 1.0])
 def test_cosine_graph_matches_parent_formulas_bytewise(gamma):
+    # on the C-order copy: in Fortran order or strided, the parent formula puts
+    # some integer collinear pairs just below 1, and gamma 1.0 drops their edge
     for x in oracle_inputs():
         g = build_cosine_graph(x, gamma)
         for include_self in (True, False):
-            adjacency, degree_hat, coeffs = parent_cosine_graph(x, gamma, include_self)
+            adjacency, degree_hat, coeffs = parent_cosine_graph(np.ascontiguousarray(x), gamma,
+                                                                include_self)
             assert g.adjacency.tobytes() == adjacency.tobytes()
             assert g.degree_hat.tobytes() == degree_hat.tobytes()
             actual = norm_coefficients(g, include_self=include_self)
@@ -234,10 +242,35 @@ def test_cosine_graph_matches_parent_formulas_bytewise(gamma):
 
 
 def test_similarity_matches_parent_formula():
-    # equal up to the sign of zero: the old float mirror turned -0.0 into +0.0
+    # equal up to the sign of zero: the old float mirror turned -0.0 into +0.0;
+    # a similarity is that of the C-order copy, whatever the input's layout
     for x in oracle_inputs():
         sim = cosine_similarity_matrix(x)
-        assert np.array_equal(sim, parent_similarity(x)) and np.array_equal(sim, sim.T)
+        assert np.array_equal(sim, parent_similarity(np.ascontiguousarray(x)))
+        assert np.array_equal(sim, sim.T)
+
+
+# Standard-normal matrices of 1-64 frames and widths 1-96, from a drawn seed.
+normal_matrices = st.tuples(st.integers(1, 64), st.integers(1, 96), st.integers(0, 2**32 - 1)
+                            ).map(lambda t: np.random.default_rng(t[2]).standard_normal(t[:2]))
+
+
+@settings(max_examples=100)
+@given(st.one_of(normal_matrices, scaled_matrices), st.sampled_from([-0.5, 0.0, 0.5, 0.6]))
+@example(np.random.default_rng(5).standard_normal((201, 80)), 0.5)
+@example(EXTREME_ROWS, 0.5)
+def test_memory_layout_never_changes_a_bit(x, gamma):
+    # a similarity, and so a graph, depends only on the values of the features
+    c_order, *others = layouts(x)
+    sim, g = cosine_similarity_matrix(c_order), build_cosine_graph(c_order, gamma)
+    coeffs = [norm_coefficients(g, True, dt).tobytes() for dt in (np.float32, np.float64)]
+    for other in others:
+        assert cosine_similarity_matrix(other).tobytes() == sim.tobytes()
+        g_other = build_cosine_graph(other, gamma)
+        assert g_other.adjacency.tobytes() == g.adjacency.tobytes()
+        assert g_other.degree_hat.tobytes() == g.degree_hat.tobytes()
+        assert [norm_coefficients(g_other, True, dt).tobytes()
+                for dt in (np.float32, np.float64)] == coeffs
 
 
 def test_temporal_graph_matches_parent_formulas_bytewise():

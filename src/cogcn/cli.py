@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -60,16 +59,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("COGCN_SEED", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"COGCN_SEED must be an integer, got '{env}'") from None
-    return 0
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
@@ -93,15 +82,13 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, started: floa
     write_text_atomic(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _claim_output(path: str, empty: bool = False) -> Path:
+def _claim_output(path: str) -> Path:
     """The ``-o`` directory, checked before any data is read: no part of the
-    path may be a file, and with ``empty`` it must not hold anything yet."""
+    path may be a file."""
     out = Path(path)
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
         raise ValueError(f"{out}: not usable as an output directory ({blocker} is not a directory)")
-    if empty and out.exists() and any(out.iterdir()):
-        raise DataError(f"{out}: output directory is not empty (pass --force)")
     return out
 
 
@@ -122,9 +109,9 @@ def cmd_synth(args) -> int:
         cluster_sep=args.sep,
         seed=args.seed,
     )
-    out = _claim_output(args.out, empty=not args.force)
+    out = _claim_output(args.out)
     dataset = synth_dataset(spec)
-    save_dataset(dataset, out, force=True)
+    save_dataset(dataset, out, force=args.force)
     _write_run_manifest(out, "synth", asdict(spec), started,
                         inputs={}, outputs=[str(out / "manifest.jsonl")])
     print(f"wrote {len(dataset.utterances)} utterances to {out}")
@@ -142,7 +129,6 @@ def _train_config(args, dataset) -> TrainConfig:
         use_pre=not args.no_pre,
         use_skip=not args.no_skip,
         dropout=args.dropout,
-        self_in_aggregation=not args.no_self_agg,
         dtype=args.dtype,
     )
     return TrainConfig(
@@ -216,17 +202,12 @@ def cmd_eval(args) -> int:
     if args.speaker:
         dataset = dataset.subset_speakers([args.speaker])
 
-    gamma = args.gamma if args.gamma is not None else ckpt.train_meta.get("gamma")
-    graph_kind = args.graph or ckpt.train_meta.get("graph_kind")
-    if graph_kind is None or (graph_kind == "cosine" and gamma is None):
-        raise DataError(
-            "checkpoint carries no graph settings; pass --graph (and --gamma for cosine)"
-        )
+    gamma = args.gamma if args.gamma is not None else ckpt.train_meta["gamma"]
+    graph_kind = args.graph or ckpt.train_meta["graph_kind"]
     try:  # finite weights or statistics can still overflow on this data
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if ckpt.standardizer is not None:
-                dataset = apply_standardizer(dataset, ckpt.standardizer)
-            metrics = evaluate(ckpt.params, ckpt.config, dataset, gamma or 0.0, graph_kind)
+            dataset = apply_standardizer(dataset, ckpt.standardizer)
+            metrics = evaluate(ckpt.params, ckpt.config, dataset, gamma, graph_kind)
     except FloatingPointError as exc:
         raise DataError(f"{args.ckpt}: checkpoint gives non-finite numbers on this data "
                         f"({exc})") from exc
@@ -287,7 +268,6 @@ def cmd_diag_params(args) -> int:
         num_layers=args.k,
         num_classes=args.c,
         use_pre=not args.no_pre,
-        use_skip=not args.no_skip,
     )
     print(param_count(config))
     return EXIT_OK
@@ -321,7 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames-hi", type=int, default=30)
     p.add_argument("--dim", type=int, default=88, help="feature dimension")
     p.add_argument("--sep", type=float, default=3.0, help="class-cluster separation")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -341,13 +321,11 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--no-skip", action="store_true")
     p.add_argument("--no-pre", action="store_true")
-    p.add_argument("--no-self-agg", action="store_true",
-                   help="exclude each node itself from aggregation")
     p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
     p.add_argument("--holdout", default=None,
                    help="single split testing on this speaker instead of full CV")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -379,11 +357,10 @@ def build_parser() -> _Parser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--c", type=int, required=True)
     q.add_argument("--no-pre", action="store_true")
-    q.add_argument("--no-skip", action="store_true")
     q.set_defaults(func=cmd_diag_params)
 
     q = diag_sub.add_parser("gradcheck", help="finite-difference gradient check")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--trials", type=int, default=20)
     q.set_defaults(func=cmd_diag_gradcheck)
 
@@ -397,8 +374,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except DataError as exc:
         _log(f"error: {exc}")

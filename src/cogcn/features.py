@@ -171,6 +171,11 @@ def _reading(path: Path, what: str):
                         f"0x{exc.object[exc.start]:02x}") from exc
 
 
+def _is_plain_file_name(name: str) -> bool:
+    """Whether ``name`` names a file in its directory: no ``/`` or ``\\``, not ``.`` or ``..``."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
 def _read_text(path: Path, what: str) -> str:
     """A manifest's or checkpoint's text."""
     with _reading(path, what):
@@ -218,8 +223,9 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
     """Load a dataset from a JSON Lines manifest.
 
     Each manifest line is an object with string values for the keys id,
-    path (relative to the manifest), label, speaker, and optional session.
-    Every path must name a ``.npy`` feature file (``_read_feature_npy``).
+    path (relative to the manifest), label, speaker, and optional session;
+    the id and the speaker must be plain file names. Every path must name a
+    ``.npy`` feature file (``_read_feature_npy``).
     When ``class_names`` is given the manifest labels must be drawn from it;
     otherwise the sorted set of label strings defines the classes.
     """
@@ -244,6 +250,10 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
             if not isinstance(obj.get(key, ""), str):
                 raise DataError(f"{manifest_path}:{lineno}: key '{key}' must be a string, "
                                 f"got {json.dumps(obj[key])}")
+        for key in ("id", "speaker"):
+            if not _is_plain_file_name(obj[key]):
+                raise DataError(f"{manifest_path}:{lineno}: {key} '{obj[key]}' is not a plain "
+                                f"file name")
         if (first := first_line.setdefault(obj["id"], lineno)) != lineno:
             raise DataError(f"{manifest_path}:{lineno}: duplicate utterance id '{obj['id']}' "
                             f"(first on line {first})")
@@ -303,16 +313,18 @@ def feature_csv_text(features: np.ndarray) -> str:
 def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> Path:
     """Write manifest.jsonl plus one float64 ``.npy`` matrix ``{id}.npy`` per utterance.
 
-    Every id must be a plain file name (no path separator, not ``.`` or
-    ``..``); this is checked before anything is written. Save/load is exact
-    for float64 features. Returns the manifest path.
+    Every id and speaker must be a plain file name, as ``load_dataset``
+    requires, and without ``force`` the directory must be empty; both are
+    checked before anything is written. Save/load is exact for float64
+    features. Returns the manifest path.
     """
     out_dir = Path(out_dir)
     for utt in dataset.utterances:
-        if utt.id in ("", ".", "..") or "/" in utt.id or "\\" in utt.id:
-            raise DataError(f"utterance id '{utt.id}' is not a plain file name")
+        for key, name in (("id", utt.id), ("speaker", utt.speaker)):
+            if not _is_plain_file_name(name):
+                raise DataError(f"utterance {key} '{name}' is not a plain file name")
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        raise DataError(f"{out_dir}: output directory is not empty (use force)")
+        raise DataError(f"{out_dir}: output directory is not empty (pass --force)")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest_lines = []

@@ -55,7 +55,6 @@ class GradcheckReport:
     worst_instance: int
     worst_param: str
     graph_kinds: tuple[str, ...]
-    resampled: int
 
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_rel_error < tol
@@ -168,11 +167,9 @@ def run_gradcheck(n_instances: int = 20, seed: int = 0) -> GradcheckReport:
     worst_instance = -1
     worst_param = ""
     kinds = set()
-    resampled = 0
     for index in range(n_instances):
         instance = _draw_instance(rng, index)
         while _min_preactivation(instance) < _KINK_MARGIN:
-            resampled += 1
             instance = _draw_instance(rng, index)
         kinds.add(instance.graph_kind)
 
@@ -189,5 +186,4 @@ def run_gradcheck(n_instances: int = 20, seed: int = 0) -> GradcheckReport:
         worst_instance=worst_instance,
         worst_param=worst_param,
         graph_kinds=tuple(sorted(kinds)),
-        resampled=resampled,
     )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -380,8 +380,8 @@ class Checkpoint:
     params: ModelParams
     config: ModelConfig
     class_names: tuple[str, ...]
-    standardizer: StandardizeStats | None = None
-    train_meta: dict = field(default_factory=dict)
+    standardizer: StandardizeStats
+    train_meta: dict
 
 
 def save_checkpoint(
@@ -389,15 +389,16 @@ def save_checkpoint(
     params: ModelParams,
     config: ModelConfig,
     class_names,
-    standardizer: StandardizeStats | None = None,
-    train_meta: dict | None = None,
+    standardizer: StandardizeStats,
+    train_meta: dict,
 ) -> None:
     """Write a self-contained JSON checkpoint.
 
     Floats are printed with shortest round-trip repr, so float64 checkpoints
-    reload bit-exactly. ``standardizer`` and ``train_meta`` (e.g. the graph
-    kind and threshold used in training) make the file sufficient for
-    standalone evaluation. The text is one ``json.dumps`` of the whole object.
+    reload bit-exactly. ``standardizer`` and ``train_meta`` (the ``gamma``
+    and ``graph_kind`` used in training, and any other JSON values) make the
+    file sufficient for standalone evaluation. The text is one
+    ``json.dumps`` of the whole object.
     """
     obj = {
         "format_version": CHECKPOINT_VERSION,
@@ -410,8 +411,8 @@ def save_checkpoint(
             "W_o": params.w_out.tolist(),
             "b_o": params.b_out.tolist(),
         },
-        "standardizer": None if standardizer is None else standardizer.to_dict(),
-        "train_meta": train_meta or {},
+        "standardizer": standardizer.to_dict(),
+        "train_meta": train_meta,
     }
     write_text_atomic(path, json.dumps(obj) + "\n")
 
@@ -420,8 +421,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; any fault in the file raises ``DataError`` naming it.
 
     Every field must have the JSON type ``save_checkpoint`` writes, the class
-    names must be distinct strings, and every parameter finite once cast
-    into the model dtype.
+    names must be distinct strings in sorted order, every parameter finite
+    once cast into the model dtype, and the standardizer and the training
+    gamma and graph kind present.
     """
     path = Path(path)
     try:
@@ -435,24 +437,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config = _config_from_json(obj["config"])
         params = _params_from_json(obj["params"], config)
         stats = obj.get("standardizer")
-        if stats is not None and not all(_is_number_array(stats[k], 1) for k in ("mean", "std")):
-            raise ValueError("standardizer mean and std must be lists of JSON numbers")
-        standardizer = None if stats is None else StandardizeStats.from_dict(stats, config.in_dim)
+        if not (type(stats) is dict and all(_is_number_array(stats.get(k), 1)
+                                            for k in ("mean", "std"))):
+            raise ValueError("standardizer must hold mean and std as lists of JSON numbers")
+        standardizer = StandardizeStats.from_dict(stats, config.in_dim)
         class_names = obj["class_names"]
         if not (type(class_names) is list and all(type(n) is str for n in class_names)):
             raise ValueError(f"class_names must be a list of strings, got {class_names!r}")
-        if len(set(class_names)) != len(class_names):
-            raise ValueError(f"class_names repeats a name: {class_names!r}")
+        if class_names != sorted(set(class_names)):
+            raise ValueError(f"class_names must be distinct and sorted, got {class_names!r}")
         class_names = tuple(class_names)
         if len(class_names) != config.num_classes:
             raise ValueError(f"{len(class_names)} class names for {config.num_classes} classes")
-        train_meta = obj.get("train_meta") or {}
-        if not isinstance(train_meta, dict):
-            raise ValueError(f"train_meta is not an object: {train_meta!r}")
+        train_meta = obj.get("train_meta")
+        if type(train_meta) is not dict:
+            raise ValueError(f"train_meta must be an object, got {train_meta!r}")
         gamma, kind = train_meta.get("gamma"), train_meta.get("graph_kind")
-        if gamma is not None and not (type(gamma) in (int, float) and -1.0 < gamma <= 1.0):
+        if not (type(gamma) in (int, float) and -1.0 < gamma <= 1.0):
             raise ValueError(f"train_meta gamma must be a number in (-1, 1], got {gamma!r}")
-        if kind is not None and kind not in GRAPH_KINDS:
+        if kind not in GRAPH_KINDS:
             raise ValueError(f"train_meta graph_kind must be one of {GRAPH_KINDS}, got {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc

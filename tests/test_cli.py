@@ -80,16 +80,18 @@ class TestSynth:
         assert run(SYNTH_ARGS + ["-o", data_dir]) == 2
         assert run(SYNTH_ARGS + ["-o", data_dir, "--force"]) == 0
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero(self, tmp_path, monkeypatch):
+        # --seed is the only source of the seed: the environment sets none
         monkeypatch.setenv("COGCN_SEED", "7")
-        a = tmp_path / "a"
-        args = [x for x in SYNTH_ARGS if True]
+        args = list(SYNTH_ARGS)
         i = args.index("--seed")
-        del args[i : i + 2]  # no --seed flag: fall back to COGCN_SEED
-        assert run(args + ["-o", a]) == 0
-        b = tmp_path / "b"
-        assert run(SYNTH_ARGS + ["-o", b]) == 0  # explicit --seed 7
-        assert dir_digest(a) == dir_digest(b)
+        del args[i : i + 2]
+        assert run(args + ["-o", tmp_path / "a"]) == 0
+        args[i:i] = ["--seed", 0]
+        assert run(args + ["-o", tmp_path / "b"]) == 0
+        assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+        manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+        assert manifest["seed"] == 0
 
 
 class TestTrain:
@@ -189,6 +191,31 @@ class TestTrain:
             "error: training diverged at epoch 2 with K=1: train_loss nan, "
             "46 non-finite parameters"
         ]
+
+    @pytest.mark.parametrize("flag, where, value", [
+        (["--dropout", 0], ("model", "dropout"), 0.0),
+        (["--batch", 7], ("batch_size",), 7),
+        (["--dtype", "float64"], ("model", "dtype"), "float64"),
+        (["--no-pre"], ("model", "use_pre"), False),
+        (["--no-skip"], ("model", "use_skip"), False),
+        (["--lr", 0.25], ("lr",), 0.25),
+    ], ids=["dropout", "batch", "dtype", "no_pre", "no_skip", "lr"])
+    def test_setting_reaches_checkpoint_and_manifest(self, tmp_path, flag, where, value):
+        # each setting of `cogcn train` is recorded where a run is replayed
+        # from: the run manifest's config, and a model setting also in the
+        # fold checkpoint's config
+        data = tmp_path / "tiny"
+        assert run(TINY_SYNTH + ["-o", data]) == 0
+        out = tmp_path / "r"
+        assert run(["train", "--data", data, "--k", 1, "--gamma", 0.5, "--z", 4, "--epochs", 1,
+                    "--holdout", "spk00", *flag, "-o", out]) == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        for key in where:
+            config = config[key]
+        assert type(config) is type(value) and config == value
+        if where[0] == "model":
+            ckpt = json.loads((out / "fold_spk00.json").read_text())
+            assert ckpt["config"][where[1]] == value
 
     def test_manifest_records_the_k_grid_only(self, tmp_path, data_dir):
         out = tmp_path / "r"
@@ -314,6 +341,14 @@ BAD_GRAPH_SETTINGS = {
     "graph_kind_knn": {"graph_kind": "knn"},
 }
 
+# the checkpoint fields that evaluation needs and every training run writes
+MISSING_FIELDS = {
+    "no_standardizer": ("standardizer",),
+    "no_train_meta": ("train_meta",),
+    "no_gamma": ("train_meta", "gamma"),
+    "no_graph_kind": ("train_meta", "graph_kind"),
+}
+
 # checkpoints that fail before any JSON is parsed, with what stderr says after the path
 UNREADABLE_CHECKPOINTS = {
     "missing": "checkpoint not found",
@@ -375,7 +410,8 @@ class TestEval:
         "missing", "invalid_json", "bad_version", "truncated_w_e", "w_e_count",
         "standardizer_narrow", "standardizer_wide", "zero_std", "nan_mean", "inf_std",
         "gamma_text", "gamma_out_of_range", "graph_kind_list", "graph_kind_knn",
-        "train_meta_list", "directory", "not_utf8",
+        "train_meta_list", "directory", "not_utf8", "class_names_unsorted",
+        "no_standardizer", "no_train_meta", "no_gamma", "no_graph_kind",
     ])
     def test_bad_checkpoint_is_data_error(self, tmp_path, data_dir, trained, fault, capsys):
         good = json.loads((trained / "fold_spk00.json").read_text())
@@ -395,6 +431,11 @@ class TestEval:
             ckpt.write_text(json.dumps({**good, "train_meta": meta}))
         elif fault == "train_meta_list":
             ckpt.write_text(json.dumps({**good, "train_meta": [good["train_meta"]]}))
+        elif fault == "class_names_unsorted":
+            ckpt.write_text(json.dumps({**good, "class_names": good["class_names"][::-1]}))
+        elif fault in MISSING_FIELDS:
+            _replace_at(good, MISSING_FIELDS[fault], DELETE)
+            ckpt.write_text(json.dumps(good))
         elif fault == "directory":
             ckpt.mkdir()
         elif fault == "not_utf8":
@@ -416,6 +457,11 @@ class TestEval:
         assert "Traceback" not in err
         for field in BAD_GRAPH_SETTINGS.get(fault, ()):
             assert f"train_meta {field}" in err
+        if fault in MISSING_FIELDS:  # named in words, not by a Python error's text
+            assert " ".join(MISSING_FIELDS[fault]) in err
+            assert "NoneType" not in err and "KeyError" not in err
+        if fault == "class_names_unsorted":
+            assert "class_names must be distinct and sorted" in err
         if fault in UNREADABLE_CHECKPOINTS:
             assert f"{ckpt}: {UNREADABLE_CHECKPOINTS[fault]}" in err
 
@@ -545,10 +591,13 @@ class TestDiag:
         assert run(["diag", "params", "--d", 88, "--z", 128, "--k", 2, "--c", 4]) == 0
         assert capsys.readouterr().out.strip() == "44676"
 
-    def test_params_no_pre_no_skip(self, capsys):
+    def test_params_no_pre(self, capsys):
         assert run(["diag", "params", "--d", 88, "--z", 128, "--k", 3, "--c", 4,
-                    "--no-pre", "--no-skip"]) == 0
+                    "--no-pre"]) == 0
         assert capsys.readouterr().out.strip() == "44548"
+        # the skip is parameter-free, so params takes no flag for it
+        assert run(["diag", "params", "--d", 88, "--z", 128, "--k", 3, "--c", 4,
+                    "--no-skip"]) == 1
 
     def test_gradcheck_passes(self, capsys):
         assert run(["diag", "gradcheck", "--seed", 1, "--trials", 6]) == 0
@@ -616,12 +665,12 @@ def _has_saved_types(ckpt):
         return all(map(numbers, value)) if type(value) is list else type(value) in (int, float)
     kinds = {"in_dim": int, "hidden_dim": int, "num_layers": int, "num_classes": int,
              "use_pre": bool, "use_skip": bool, "self_in_aggregation": bool, "dtype": str}
-    config, stats = ckpt["config"], ckpt.get("standardizer") or {}
+    config, stats = ckpt["config"], ckpt["standardizer"]
     return (type(ckpt["format_version"]) is int
             and all(type(config[k]) is kind for k, kind in kinds.items() if k in config)
             and type(config.get("dropout", 0.0)) in (int, float)
             and all(numbers(v) for v in ckpt["params"].values() if v is not None)
-            and all(numbers(stats[k]) for k in ("mean", "std") if k in stats))
+            and all(numbers(stats[k]) for k in ("mean", "std")))
 
 
 DELETE = object()
@@ -746,6 +795,29 @@ def test_repeated_id_is_named_before_any_feature_file_is_read(tiny_run, tmp_path
     assert run(argv + ["-o", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (f"error: {data / 'manifest.jsonl'}:4: duplicate utterance "
                                        f"id '{repeat['id']}' (first on line 2)\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "graph"])
+@pytest.mark.parametrize("key, name", [("id", "../../escaped"), ("speaker", "team/a")],
+                         ids=["id", "speaker"])
+def test_id_or_speaker_that_is_a_path_is_named_before_anything_is_written(
+        tiny_run, tmp_path, capsys, command, key, name):
+    # ids and speakers name output files (`graph`'s exports, `train`'s fold
+    # files); the manifest holds no feature file, so only the name is reported
+    data = tmp_path / "data"
+    data.mkdir()
+    first, *rest = (tiny_run / "data" / "manifest.jsonl").read_text().splitlines()
+    (data / "manifest.jsonl").write_text(
+        "\n".join([json.dumps({**json.loads(first), key: name}), *rest]) + "\n")
+    argv = [data if a == tiny_run / "data" else a for a in OUTPUT_COMMANDS[command](tiny_run)]
+    if command == "graph" and key == "id":
+        argv[argv.index("spk00_u000")] = name
+    out = tmp_path / "x" / "y" / "out"
+    capsys.readouterr()
+    assert run(argv + ["-o", out]) == 2
+    assert capsys.readouterr().err == (f"error: {data / 'manifest.jsonl'}:1: {key} '{name}' "
+                                       f"is not a plain file name\n")
+    assert [p for p in tmp_path.rglob("*") if data not in (p, *p.parents)] == []
 
 
 def test_import_does_not_load_the_process_pool():

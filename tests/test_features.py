@@ -410,14 +410,16 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("bad_id", ["a/b", "..", ".", "a\\b", "../x"])
     def test_unsafe_id_rejected_before_writing(self, tmp_path, bad_id):
+        # a speaker is held to the same rule, as load_dataset reads it back
         ds = synth_dataset(SynthSpec(d=3, n_speakers=2, utt_per_speaker=2,
                                      frames_lo=2, frames_hi=3))
-        utts = list(ds.utterances)
-        utts[-1] = Utterance(bad_id, utts[-1].features, utts[-1].label, utts[-1].speaker)
-        out = tmp_path / "out"
-        with pytest.raises(DataError, match="plain file name"):
-            save_dataset(Dataset(tuple(utts), ds.d, ds.class_names), out)
-        assert not out.exists()
+        last = ds.utterances[-1]
+        for key, bad in (("id", Utterance(bad_id, last.features, last.label, last.speaker)),
+                         ("speaker", Utterance(last.id, last.features, last.label, bad_id))):
+            out = tmp_path / key
+            with pytest.raises(DataError, match=f"utterance {key} .* is not a plain file name"):
+                save_dataset(Dataset((*ds.utterances[:-1], bad), ds.d, ds.class_names), out)
+            assert not out.exists()
 
     def test_refuses_non_empty_dir(self, tmp_path):
         ds = synth_dataset(SynthSpec(d=3, utt_per_speaker=1, frames_lo=2, frames_hi=2))

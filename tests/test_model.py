@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from cogcn import (
     ModelConfig,
     ModelParams,
+    StandardizeStats,
     backward,
     build_cosine_graph,
     build_temporal_graph,
@@ -32,6 +33,7 @@ from cogcn import (
 from cogcn.model import Workspace
 
 PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_float64.json"
+TRAIN_META = {"gamma": 0.55, "graph_kind": "cosine"}
 
 
 def config64(**kwargs):
@@ -410,14 +412,17 @@ def assert_checkpoint_roundtrips(dtype, use_pre, k, d, z, seed):
     cfg = ModelConfig(in_dim=d, hidden_dim=z, num_layers=k, num_classes=3, use_pre=use_pre,
                       dtype=dtype)
     params = init_params(cfg, seed)
-    meta = {"gamma": 0.55, "graph_kind": "cosine"}
+    rng = np.random.default_rng(seed)
+    stats = StandardizeStats(rng.standard_normal(d), rng.random(d) + 0.5)
     with tempfile.TemporaryDirectory() as tmp:
-        save_checkpoint(Path(tmp) / "m.json", params, cfg, ("a", "b", "c"), train_meta=meta)
+        save_checkpoint(Path(tmp) / "m.json", params, cfg, ("a", "b", "c"), stats, TRAIN_META)
         ckpt = load_checkpoint(Path(tmp) / "m.json")
     assert ckpt.config == ckpt.params.config == cfg
-    assert ckpt.class_names == ("a", "b", "c") and ckpt.train_meta == meta
+    assert ckpt.class_names == ("a", "b", "c") and ckpt.train_meta == TRAIN_META
     assert ckpt.params.flat.dtype == cfg.np_dtype
     assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert ckpt.standardizer.mean.tobytes() == stats.mean.tobytes()
+    assert ckpt.standardizer.std.tobytes() == stats.std.tobytes()
     assert (ckpt.params.w_pre is None) == (ckpt.params.b_pre is None) == (not use_pre)
 
 
@@ -446,12 +451,10 @@ class TestCheckpoint:
         assert_checkpoint_roundtrips("float64", False, k, d, z, seed)
 
     def test_standardizer_rides_along(self, tmp_path):
-        from cogcn import StandardizeStats
-
         cfg = config64()
         stats = StandardizeStats(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
         save_checkpoint(tmp_path / "m.json", init_params(cfg, 0), cfg,
-                        ("a", "b", "c"), standardizer=stats)
+                        ("a", "b", "c"), standardizer=stats, train_meta=TRAIN_META)
         ckpt = load_checkpoint(tmp_path / "m.json")
         assert np.array_equal(ckpt.standardizer.mean, stats.mean)
 
@@ -473,7 +476,7 @@ class TestCheckpoint:
         assert (tmp_path / "m.json").read_bytes() == PARENT_CHECKPOINT.read_bytes()
 
 
-def one_shot_checkpoint_text(params, config, class_names, standardizer=None, train_meta=None):
+def one_shot_checkpoint_text(params, config, class_names, standardizer, train_meta):
     """The whole checkpoint as one object through one ``json.dumps``; the byte oracle."""
     import json
     from dataclasses import asdict
@@ -489,28 +492,26 @@ def one_shot_checkpoint_text(params, config, class_names, standardizer=None, tra
             "W_o": params.w_out.tolist(),
             "b_o": params.b_out.tolist(),
         },
-        "standardizer": None if standardizer is None else standardizer.to_dict(),
-        "train_meta": train_meta or {},
+        "standardizer": standardizer.to_dict(),
+        "train_meta": train_meta,
     }
     return json.dumps(obj) + "\n"
 
 
-@pytest.mark.parametrize("with_stats", [False, True])
+# with_note: train_meta also holds a non-ASCII value beside the graph settings
+@pytest.mark.parametrize("with_note", [False, True])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("use_pre", [True, False])
-def test_checkpoint_matches_one_shot_encoder_bytewise(tmp_path, use_pre, k, dtype, with_stats):
-    from cogcn import StandardizeStats
-
+def test_checkpoint_matches_one_shot_encoder_bytewise(tmp_path, use_pre, k, dtype, with_note):
     cfg = ModelConfig(in_dim=5, hidden_dim=6, num_layers=k, num_classes=3, use_pre=use_pre,
                       dtype=dtype)
     params = init_params(cfg, k)
     params.b_out[...] = [0.25, -1e-300 if dtype == "float64" else -1e-30, 3.0]
     rng = np.random.default_rng(k)
-    stats = (StandardizeStats(rng.standard_normal(5), rng.random(5) + 0.5) if with_stats
-             else None)
-    meta = {"gamma": 0.55, "graph_kind": "cosine", "note": "café"} if with_stats else None
-    names = ("neu", "häppy", 'say "hi"')
+    stats = StandardizeStats(rng.standard_normal(5), rng.random(5) + 0.5)
+    meta = {**TRAIN_META, "note": "café"} if with_note else TRAIN_META
+    names = ("häppy", "neu", 'say "hi"')
     path = tmp_path / "m.json"
     save_checkpoint(path, params, cfg, names, standardizer=stats, train_meta=meta)
     expected = one_shot_checkpoint_text(params, cfg, names, stats, meta)
@@ -518,9 +519,6 @@ def test_checkpoint_matches_one_shot_encoder_bytewise(tmp_path, use_pre, k, dtyp
     ckpt = load_checkpoint(path)
     assert ckpt.config == cfg and ckpt.class_names == names
     assert ckpt.params.flat.tobytes() == params.flat.tobytes()
-    assert ckpt.train_meta == (meta or {})
-    if with_stats:
-        assert ckpt.standardizer.mean.tobytes() == stats.mean.tobytes()
-        assert ckpt.standardizer.std.tobytes() == stats.std.tobytes()
-    else:
-        assert ckpt.standardizer is None
+    assert ckpt.train_meta == meta
+    assert ckpt.standardizer.mean.tobytes() == stats.mean.tobytes()
+    assert ckpt.standardizer.std.tobytes() == stats.std.tobytes()

@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 Human-readable logs go to stderr; primary results go to files (and to stdout
-as JSON under --json). Every command writes a run_manifest.json next to its
-outputs with the resolved configuration, seed, paths, and wall-clock time,
-so a run can be replayed exactly; timestamps live only there.
+as JSON under --json). synth, train and graph write a run_manifest.json next
+to their outputs with the resolved configuration, seed, paths, and wall-clock
+time, so a run can be replayed exactly; timestamps live only there. eval
+writes one only with -o, and diag writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -28,9 +30,10 @@ from .features import (
     save_dataset,
     synth_dataset,
 )
-from .graph import build_cosine_graph, build_temporal_graph, export_dot, export_graph_json
+from .graph import (GRAPH_KINDS, build_cosine_graph, build_temporal_graph, export_dot,
+                    export_graph_json)
 from .gradcheck import run_gradcheck
-from .model import ModelConfig, load_checkpoint, param_count, save_checkpoint
+from .model import DTYPES, ModelConfig, load_checkpoint, param_count, save_checkpoint
 from .training import (
     TrainConfig,
     evaluate,
@@ -67,6 +70,13 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _settings(target, args, **fixed):
+    """``target`` called with each of its parameters that ``args`` holds, plus
+    ``fixed``; a flag that was left out is not in ``args``."""
+    names = inspect.signature(target).parameters
+    return target(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
+
+
 def _write_run_manifest(out_dir: Path, command: str, config: dict, started: float,
                         inputs: dict, outputs: list) -> None:
     manifest = {
@@ -98,17 +108,7 @@ def _claim_output(path: str) -> Path:
 
 def cmd_synth(args) -> int:
     started = time.time()
-    spec = SynthSpec(
-        n_classes=args.classes,
-        n_speakers=args.speakers,
-        utt_per_speaker=args.utts,
-        frames_lo=args.frames_lo,
-        frames_hi=args.frames_hi,
-        noise_frac=args.noise,
-        d=args.dim,
-        cluster_sep=args.sep,
-        seed=args.seed,
-    )
+    spec = _settings(SynthSpec, args)
     out = _claim_output(args.out)
     dataset = synth_dataset(spec)
     save_dataset(dataset, out, force=args.force)
@@ -118,36 +118,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_config(args, dataset) -> TrainConfig:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    # num_layers keeps its default: run_fold sets each trial's K from the grid
-    model = ModelConfig(
-        in_dim=dataset.d,
-        hidden_dim=args.z,
-        num_classes=dataset.n_classes,
-        use_pre=not args.no_pre,
-        use_skip=not args.no_skip,
-        dropout=args.dropout,
-        dtype=args.dtype,
-    )
-    return TrainConfig(
-        model=model,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        gamma_grid=args.gamma,
-        k_grid=args.k,
-        seed=args.seed,
-        graph_kind=args.graph,
-    )
-
-
 def cmd_train(args) -> int:
     started = time.time()
     out = _claim_output(args.out)
     dataset = load_dataset(args.data)
-    tc = _train_config(args, dataset)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    # num_layers keeps its default: run_fold sets each trial's K from the grid
+    model = _settings(ModelConfig, args, in_dim=dataset.d, num_classes=dataset.n_classes)
+    tc = _settings(TrainConfig, args, model=model)
 
     if args.holdout:
         speakers = dataset.speakers
@@ -242,6 +221,9 @@ def cmd_graph(args) -> int:
     out = _claim_output(args.out)
     dataset = load_dataset(args.data)
     utt = dataset.by_id(args.utt)
+    if utt.id == "run_manifest":
+        raise DataError(f"{args.data}: utterance id '{utt.id}' would export its graph JSON "
+                        "over run_manifest.json")
     if args.temporal:
         g = build_temporal_graph(utt.features)
         kind = {"graph_kind": "temporal"}
@@ -262,19 +244,13 @@ def cmd_graph(args) -> int:
 
 
 def cmd_diag_params(args) -> int:
-    config = ModelConfig(
-        in_dim=args.d,
-        hidden_dim=args.z,
-        num_layers=args.k,
-        num_classes=args.c,
-        use_pre=not args.no_pre,
-    )
+    config = _settings(ModelConfig, args)
     print(param_count(config))
     return EXIT_OK
 
 
 def cmd_diag_gradcheck(args) -> int:
-    report = run_gradcheck(n_instances=args.trials, seed=args.seed)
+    report = _settings(run_gradcheck, args)
     print(
         f"gradcheck: {report.n_instances} instances, "
         f"max relative error {report.max_rel_error:.3e} (tolerance 1.0e-04), "
@@ -291,41 +267,44 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cogcn", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cogcn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag that sets a library field stores into that field's name. In
+    # these parsers a flag left out is absent, so the library's default applies.
+    absent = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic dataset")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--speakers", type=int, default=8)
-    p.add_argument("--utts", type=int, default=20, help="utterances per speaker")
-    p.add_argument("--noise", type=float, default=0.3, help="vacuum-frame fraction")
-    p.add_argument("--frames-lo", type=int, default=10)
-    p.add_argument("--frames-hi", type=int, default=30)
-    p.add_argument("--dim", type=int, default=88, help="feature dimension")
-    p.add_argument("--sep", type=float, default=3.0, help="class-cluster separation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true")
+    p = sub.add_parser("synth", help="generate a synthetic dataset", **absent)
+    p.add_argument("--classes", type=int, dest="n_classes")
+    p.add_argument("--speakers", type=int, dest="n_speakers")
+    p.add_argument("--utts", type=int, dest="utt_per_speaker", help="utterances per speaker")
+    p.add_argument("--noise", type=float, dest="noise_frac", help="vacuum-frame fraction")
+    p.add_argument("--frames-lo", type=int)
+    p.add_argument("--frames-hi", type=int)
+    p.add_argument("--dim", type=int, dest="d", help="feature dimension")
+    p.add_argument("--sep", type=float, dest="cluster_sep", help="class-cluster separation")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--force", action="store_true", default=False)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train with leave-one-speaker-out CV")
+    p = sub.add_parser("train", help="train with leave-one-speaker-out CV", **absent)
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
-    p.add_argument("--graph", choices=("cosine", "temporal"), default="cosine")
-    p.add_argument("--gamma", type=_float_list, default=(0.5, 0.55, 0.6),
+    p.add_argument("--graph", choices=GRAPH_KINDS, dest="graph_kind")
+    p.add_argument("--gamma", type=_float_list, dest="gamma_grid",
                    help="similarity thresholds searched per fold, comma-separated; "
                    "one value fixes it")
-    p.add_argument("--k", type=_int_list, default=(2, 3, 4),
+    p.add_argument("--k", type=_int_list, dest="k_grid",
                    help="layer counts searched per fold, comma-separated; one value fixes it")
-    p.add_argument("--z", type=int, default=128, help="hidden units")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--no-skip", action="store_true")
-    p.add_argument("--no-pre", action="store_true")
-    p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
+    p.add_argument("--z", type=int, dest="hidden_dim", help="hidden units")
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--no-skip", action="store_false", dest="use_skip")
+    p.add_argument("--no-pre", action="store_false", dest="use_pre")
+    p.add_argument("--dtype", choices=DTYPES)
     p.add_argument("--holdout", default=None,
                    help="single split testing on this speaker instead of full CV")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -334,7 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--speaker", default=None, help="restrict to one speaker")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--graph", choices=("cosine", "temporal"), default=None)
+    p.add_argument("--graph", choices=GRAPH_KINDS, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -351,17 +330,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diag", help="diagnostics")
     diag_sub = p.add_subparsers(dest="diag_command", required=True)
 
-    q = diag_sub.add_parser("params", help="exact parameter count")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--z", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--c", type=int, required=True)
-    q.add_argument("--no-pre", action="store_true")
+    q = diag_sub.add_parser("params", help="exact parameter count", **absent)
+    q.add_argument("--d", type=int, required=True, dest="in_dim")
+    q.add_argument("--z", type=int, required=True, dest="hidden_dim")
+    q.add_argument("--k", type=int, required=True, dest="num_layers")
+    q.add_argument("--c", type=int, required=True, dest="num_classes")
+    q.add_argument("--no-pre", action="store_false", dest="use_pre")
     q.set_defaults(func=cmd_diag_params)
 
-    q = diag_sub.add_parser("gradcheck", help="finite-difference gradient check")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--trials", type=int, default=20)
+    q = diag_sub.add_parser("gradcheck", help="finite-difference gradient check", **absent)
+    q.add_argument("--seed", type=int)
+    q.add_argument("--trials", type=int, dest="n_instances")
     q.set_defaults(func=cmd_diag_gradcheck)
 
     return parser

@@ -47,6 +47,7 @@ from .graph import GRAPH_KINDS
 from .util import substream, write_text_atomic
 
 CHECKPOINT_VERSION = 1
+DTYPES = ("float32", "float64")
 # The JSON types a checkpoint may hold for each type of ``ModelConfig`` field:
 # a bool is no int, and an int or a string no bool
 _JSON_TYPES = {"int": {int}, "bool": {bool}, "float": {int, float}, "str": {str}}
@@ -77,8 +78,8 @@ class ModelConfig:
             raise ValueError("num_classes must be >= 2")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be 'float32' or 'float64'")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be {' or '.join(map(repr, DTYPES))}")
 
     @property
     def np_dtype(self) -> np.dtype:

@@ -577,7 +577,8 @@ def loso_cv(dataset: Dataset, tc: TrainConfig, jobs: int = 1) -> CVResult:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays the import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool may start every worker at once, so it gets no more than one per fold
+        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
             folds = list(pool.map(run_fold, *zip(*[(dataset, tc, i) for i in indices])))
     else:
         folds = [run_fold(dataset, tc, i) for i in indices]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cogcn
-from cogcn import DataError, load_checkpoint, load_dataset
+from cogcn import (DataError, ModelConfig, SynthSpec, TrainConfig, cli, load_checkpoint,
+                   load_dataset)
 from cogcn.cli import main
 from cogcn.features import feature_csv_text
+from cogcn.gradcheck import run_gradcheck
 
 
 def run(argv):
@@ -585,6 +588,18 @@ class TestGraphCommand:
         assert code == 2
         assert "spk00_u000" in capsys.readouterr().err
 
+    def test_id_that_names_the_run_manifest_is_data_error(self, tmp_path, data_dir, capsys):
+        # its graph JSON and the run manifest would be the same file
+        manifest = data_dir / "manifest.jsonl"
+        first, *rest = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([json.dumps({**json.loads(first), "id": "run_manifest"}),
+                                       *rest]) + "\n")
+        out = tmp_path / "g"
+        assert run(["graph", "--data", data_dir, "--utt", "run_manifest", "--gamma", 0.5,
+                    "-o", out]) == 2
+        assert "utterance id 'run_manifest'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiag:
     def test_params_headline_count(self, capsys):
@@ -818,6 +833,33 @@ def test_id_or_speaker_that_is_a_path_is_named_before_anything_is_written(
     assert capsys.readouterr().err == (f"error: {data / 'manifest.jsonl'}:1: {key} '{name}' "
                                        f"is not a plain file name\n")
     assert [p for p in tmp_path.rglob("*") if data not in (p, *p.parents)] == []
+
+
+def test_left_out_flags_take_the_library_defaults(tmp_path, monkeypatch, capsys):
+    assert run(["synth", "-o", tmp_path / "data"]) == 0
+    manifest = json.loads((tmp_path / "data" / "run_manifest.json").read_text())
+    assert manifest["config"] == asdict(SynthSpec())
+
+    class Captured(Exception):
+        pass
+
+    def capture(dataset, tc, jobs):
+        raise Captured(dataset, tc, jobs)
+
+    monkeypatch.setattr(cli, "loso_cv", capture)  # nothing trains
+    with pytest.raises(Captured) as caught:
+        run(["train", "--data", tmp_path / "data", "-o", tmp_path / "run"])
+    dataset, tc, jobs = caught.value.args
+    assert tc == TrainConfig(model=ModelConfig(in_dim=dataset.d, num_classes=dataset.n_classes))
+    assert jobs == 1
+
+    capsys.readouterr()
+    assert run(["diag", "gradcheck"]) == 0
+    report = run_gradcheck()
+    assert capsys.readouterr().out == (
+        f"gradcheck: {report.n_instances} instances, max relative error "
+        f"{report.max_rel_error:.3e} (tolerance 1.0e-04), worst: instance "
+        f"{report.worst_instance} '{report.worst_param}'\n")
 
 
 def test_import_does_not_load_the_process_pool():

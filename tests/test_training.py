@@ -527,6 +527,32 @@ class TestLosoCV:
         with pytest.raises(DataError, match="at least 3 speakers"):
             loso_cv(small_corpus(speakers=2), self._tc(), jobs=2)
 
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (64, 3)])
+    def test_pool_has_at_most_one_worker_per_fold(self, monkeypatch, jobs, workers):
+        # a recording stand-in that maps in this process: no worker is started
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ds = small_corpus(speakers=3)
+        result = loso_cv(ds, self._tc(), jobs=jobs)
+        assert asked == [workers]
+        assert [f.speaker for f in result.folds] == list(ds.speakers)
+
     def test_parallel_matches_serial(self):
         ds = small_corpus(speakers=3)
         serial = loso_cv(ds, self._tc(), jobs=1)

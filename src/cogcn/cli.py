@@ -18,13 +18,10 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .features import (
     DataError,
     SynthSpec,
-    apply_standardizer,
     feature_csv_text,
     load_dataset,
     save_dataset,
@@ -32,11 +29,11 @@ from .features import (
 )
 from .graph import (GRAPH_KINDS, build_cosine_graph, build_temporal_graph, export_dot,
                     export_graph_json)
-from .gradcheck import run_gradcheck
+from .gradcheck import DEFAULT_TOL, run_gradcheck
 from .model import DTYPES, ModelConfig, load_checkpoint, param_count, save_checkpoint
 from .training import (
     TrainConfig,
-    evaluate,
+    evaluate_checked,
     CVResult,
     loso_cv,
     run_fold,
@@ -111,9 +108,8 @@ def cmd_synth(args) -> int:
     spec = _settings(SynthSpec, args)
     out = _claim_output(args.out)
     dataset = synth_dataset(spec)
-    save_dataset(dataset, out, force=args.force)
-    _write_run_manifest(out, "synth", asdict(spec), started,
-                        inputs={}, outputs=[str(out / "manifest.jsonl")])
+    manifest = save_dataset(dataset, out, force=args.force)
+    _write_run_manifest(out, "synth", asdict(spec), started, inputs={}, outputs=[str(manifest)])
     print(f"wrote {len(dataset.utterances)} utterances to {out}")
     return EXIT_OK
 
@@ -121,23 +117,24 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     out = _claim_output(args.out)
-    dataset = load_dataset(args.data)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    dataset = load_dataset(args.data)
     # num_layers keeps its default: run_fold sets each trial's K from the grid
     model = _settings(ModelConfig, args, in_dim=dataset.d, num_classes=dataset.n_classes)
     tc = _settings(TrainConfig, args, model=model)
 
-    if args.holdout:
-        speakers = dataset.speakers
-        if args.holdout not in speakers:
-            raise DataError(
-                f"unknown holdout speaker '{args.holdout}'; available: {', '.join(speakers)}"
-            )
-        result = CVResult([run_fold(dataset, tc, speakers.index(args.holdout))],
-                          dataset.class_names)
-    else:
-        result = loso_cv(dataset, tc, jobs=args.jobs)
+    if args.holdout and args.holdout not in dataset.speakers:
+        raise DataError(f"unknown holdout speaker '{args.holdout}'; "
+                        f"available: {', '.join(dataset.speakers)}")
+    try:  # a fault found in training names its speaker; the data are named here
+        if args.holdout:
+            fold = run_fold(dataset, tc, dataset.speakers.index(args.holdout))
+            result = CVResult([fold], dataset.class_names)
+        else:
+            result = loso_cv(dataset, tc, jobs=args.jobs)
+    except DataError as exc:
+        raise DataError(f"{args.data}: {exc}") from exc
 
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -152,14 +149,14 @@ def cmd_train(args) -> int:
             fold.selected.config,
             dataset.class_names,
             standardizer=fold.stats,
-            train_meta={"gamma": fold.selected_gamma, "graph_kind": tc.graph_kind},
+            train_meta={"gamma": fold.selected.gamma, "graph_kind": tc.graph_kind},
         )
         history_path = out / f"fold_{fold.speaker}_history.csv"
         write_history_csv(fold.selected.history, history_path)
         outputs += [str(ckpt_path), str(history_path)]
         _log(
             f"fold {fold.speaker}: wa={fold.metrics.wa:.4f} ua={fold.metrics.ua:.4f} "
-            f"(K={fold.selected.config.num_layers}, gamma={fold.selected_gamma})"
+            f"(K={fold.selected.config.num_layers}, gamma={fold.selected.gamma})"
         )
 
     config_dict = {**asdict(tc), "jobs": args.jobs, "holdout": args.holdout}
@@ -183,13 +180,8 @@ def cmd_eval(args) -> int:
 
     gamma = args.gamma if args.gamma is not None else ckpt.train_meta["gamma"]
     graph_kind = args.graph or ckpt.train_meta["graph_kind"]
-    try:  # finite weights or statistics can still overflow on this data
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            dataset = apply_standardizer(dataset, ckpt.standardizer)
-            metrics = evaluate(ckpt.params, ckpt.config, dataset, gamma, graph_kind)
-    except FloatingPointError as exc:
-        raise DataError(f"{args.ckpt}: checkpoint gives non-finite numbers on this data "
-                        f"({exc})") from exc
+    metrics = evaluate_checked(ckpt.params, ckpt.config, dataset, ckpt.standardizer, gamma,
+                               graph_kind, f"{args.ckpt}: checkpoint")
 
     payload = {
         "wa": metrics.wa,
@@ -253,7 +245,7 @@ def cmd_diag_gradcheck(args) -> int:
     report = _settings(run_gradcheck, args)
     print(
         f"gradcheck: {report.n_instances} instances, "
-        f"max relative error {report.max_rel_error:.3e} (tolerance 1.0e-04), "
+        f"max relative error {report.max_rel_error:.3e} (tolerance {DEFAULT_TOL:.1e}), "
         f"worst: instance {report.worst_instance} '{report.worst_param}'"
     )
     return EXIT_OK if report.passed() else EXIT_VERIFY

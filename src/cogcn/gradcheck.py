@@ -30,6 +30,7 @@ from .model import (
     sample_dropout_mask,
 )
 from .training import backward, cross_entropy_from_logits
+from .util import substream
 
 _STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -162,7 +163,7 @@ def run_gradcheck(n_instances: int = 20, seed: int = 0) -> GradcheckReport:
     """Compare ``backward`` against central differences on random instances."""
     if n_instances < 1:
         raise ValueError(f"a gradient check needs at least 1 instance, got {n_instances}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
+    rng = substream(seed, "gradcheck")
     worst = 0.0
     worst_instance = -1
     worst_param = ""

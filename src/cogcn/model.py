@@ -169,7 +169,6 @@ class ForwardCache:
     h_dropped: np.ndarray  # the readout, with dropout in train mode
     logits: np.ndarray
     probs: np.ndarray
-    mode: str
 
 
 class Workspace:
@@ -358,7 +357,6 @@ def forward_arrays(
         h_dropped=h_dropped,
         logits=logits,
         probs=probs,
-        mode=mode,
     )
     return logits, probs, cache
 

@@ -106,7 +106,7 @@ def backward(
     holds one gradient row per graph: ``flat`` has shape (B, size), valid
     until the next call with the same ``workspace`` if one is given.
     """
-    if cache.mode != "train":
+    if cache.dropout_mask is None:
         raise ValueError("backward requires a train-mode forward cache")
     check_group(cache.x, cache.coeffs)
     if len(cache.mp_preacts) != config.num_layers:
@@ -240,26 +240,31 @@ def prepare_graphs(
     With ``stats`` each utterance is standardized just before its graph is
     built, as ``apply_standardizer`` would, so no standardized copy of the
     dataset is kept. The coefficients come in the model dtype, so only the
-    features are cast. All of the call's ``x`` and ``coeffs`` are C-contiguous
+    features are cast, and a frame that is not finite once cast is a
+    ``DataError``. All of the call's ``x`` and ``coeffs`` are C-contiguous
     views into one array, which is freed with the last of them.
     """
     size = sum(u.features.size + len(u.features) ** 2 for u in dataset.utterances)
     block = np.empty(size, dtype=config.np_dtype)
     graphs, start = [], 0
-    for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config, stats):
-        views = []
-        for value in (x, coeffs):
-            view = block[start : start + value.size].reshape(value.shape)
-            view[...] = value  # x is cast straight into the block
-            start += value.size
-            views.append(view)
-        graphs.append(PreparedGraph(utt.id, *views, utt.label))
+    with np.errstate(over="ignore"):  # frames past the dtype's range are named below
+        for pg in _graph_arrays(dataset, gamma, graph_kind, config, stats):
+            views = []
+            for value in (pg.x, pg.coeffs):
+                view = block[start : start + value.size].reshape(value.shape)
+                view[...] = value  # x is cast straight into the block
+                start += value.size
+                views.append(view)
+            if not np.isfinite(views[0]).all():
+                raise DataError(f"speaker {dataset.by_id(pg.id).speaker}, utterance {pg.id}: "
+                                f"standardized frames are not finite in {config.dtype}")
+            graphs.append(PreparedGraph(pg.id, *views, pg.label))
     return graphs
 
 
 def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: ModelConfig,
                   stats: StandardizeStats | None = None):
-    """Per utterance, in order: it, its (standardized) features and its coefficients.
+    """One ``PreparedGraph`` per utterance, in order, on its (standardized) features.
 
     The coefficients are built in the model dtype; the features stay float64.
     """
@@ -270,7 +275,8 @@ def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: Model
     for utt in dataset.utterances:
         x = utt.features if stats is None else stats.standardize(utt.features)
         g = build_cosine_graph(x, gamma) if graph_kind == "cosine" else build_temporal_graph(x)
-        yield utt, x, norm_coefficients(g, config.self_in_aggregation, config.np_dtype)
+        coeffs = norm_coefficients(g, config.self_in_aggregation, config.np_dtype)
+        yield PreparedGraph(utt.id, x, coeffs, utt.label)
 
 
 def _groups(graphs):
@@ -335,9 +341,19 @@ def evaluate(
     is cast here: the coefficients come in the model dtype, and
     ``forward_arrays`` casts the float64 features.
     """
-    graphs = (PreparedGraph(utt.id, x, coeffs, utt.label)
-              for utt, x, coeffs in _graph_arrays(dataset, gamma, graph_kind, config))
+    graphs = _graph_arrays(dataset, gamma, graph_kind, config)
     return _evaluate_groups(params, config, _groups(graphs))
+
+
+def evaluate_checked(params: ModelParams, config: ModelConfig, dataset: Dataset,
+                     stats: StandardizeStats, gamma: float, graph_kind: str, source: str):
+    """``evaluate`` on ``dataset`` standardized by ``stats``; an overflow or invalid value on
+    the way is a ``DataError`` starting with ``source``, not a prediction from NaN logits."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return evaluate(params, config, apply_standardizer(dataset, stats), gamma, graph_kind)
+    except FloatingPointError as exc:
+        raise DataError(f"{source} gives non-finite numbers on this data ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +498,6 @@ class FoldResult:
     params: ModelParams  # the selected trial's
     stats: StandardizeStats
 
-    @property
-    def selected_gamma(self) -> float:
-        return self.selected.gamma
-
 
 @dataclass
 class CVResult:
@@ -507,7 +519,7 @@ class CVResult:
                     "ua": f.metrics.ua,
                     "confusion": f.metrics.confusion.tolist(),
                     "selected_K": f.selected.config.num_layers,
-                    "selected_gamma": f.selected_gamma,
+                    "selected_gamma": f.selected.gamma,
                 }
                 for f in self.folds
             ],
@@ -533,10 +545,10 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
     The lexicographically next speaker is held out for validation; the
     standardizer is fit on the remaining training speakers only; train and
     validation utterances are standardized one at a time as their graphs are
-    built, and only the test set as a dataset. Every (K, gamma) is trained,
-    and ``select_trial`` picks the fold's by validation UA. The fold's RNG
-    stream is ``tc.seed`` XOR ``fold_index``, so folds are independent and may
-    run in parallel with results identical to serial execution.
+    built, and the test set is scored as by ``cogcn eval``. Every (K, gamma)
+    is trained, and ``select_trial`` picks the fold's by validation UA. The
+    fold's RNG stream is ``tc.seed`` XOR ``fold_index``, so folds are
+    independent and may run in parallel with the serial results.
     """
     test_speaker, val_speaker, train_speakers = _fold_speakers(dataset, fold_index)
     ds_train = dataset.subset_speakers(train_speakers)
@@ -561,8 +573,9 @@ def run_fold(dataset: Dataset, tc: TrainConfig, fold_index: int) -> FoldResult:
         del p_train, p_val, trial_params
 
     selected = select_trial(trials, tc.k_grid, tc.gamma_grid)
-    ds_test = apply_standardizer(dataset.subset_speakers([test_speaker]), stats)
-    test_metrics = evaluate(params, selected.config, ds_test, selected.gamma, tc.graph_kind)
+    ds_test = dataset.subset_speakers([test_speaker])
+    test_metrics = evaluate_checked(params, selected.config, ds_test, stats, selected.gamma,
+                                    tc.graph_kind, f"speaker {test_speaker}: the fold's model")
     return FoldResult(test_speaker, val_speaker, test_metrics, trials, selected, params, stats)
 
 

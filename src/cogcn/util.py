@@ -10,7 +10,7 @@ import numpy as np
 # Every consumer of randomness gets its own stream, so e.g. two architecture
 # variants trained with the same seed start from identical weights and two
 # synth calls never interleave draws with the training loop.
-_STREAMS = {"init": 0, "shuffle": 1, "dropout": 2, "synth": 3}
+_STREAMS = {"init": 0, "shuffle": 1, "dropout": 2, "synth": 3, "gradcheck": 17}
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

@@ -130,7 +130,7 @@ def test_fold_loop_is_gamma_major(monkeypatch):
         # train and val graphs per gamma; the test set streams through evaluate
         assert len(prepared) == 2 * len(tc.gamma_grid)
         assert sorted(trained) == sorted(itertools.product(tc.k_grid, tc.gamma_grid))
-        assert evaluated == [result.selected_gamma]
+        assert evaluated == [result.selected.gamma]
 
 
 def test_evaluate_frees_each_run_before_the_next(monkeypatch):

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cogcn
-from cogcn import (DataError, ModelConfig, SynthSpec, TrainConfig, cli, load_checkpoint,
-                   load_dataset)
+from cogcn import (DataError, Dataset, ModelConfig, SynthSpec, TrainConfig, cli,
+                   load_checkpoint, load_dataset, save_dataset, synth_dataset)
 from cogcn.cli import main
 from cogcn.features import feature_csv_text
 from cogcn.gradcheck import run_gradcheck
@@ -165,6 +165,25 @@ class TestTrain:
                     "--gamma", 0.5, "--z", 4, "--epochs", epochs, "-o", out])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        assert not list(out.glob("fold_*"))
+
+    # spk00's frames times 1e45 standardize past float32's range: spk00 is the
+    # test speaker of fold spk00 and the validation speaker of fold spk02
+    @pytest.mark.parametrize("holdout", [[], ["--holdout", "spk00"], ["--holdout", "spk02"]])
+    def test_overflowing_speaker_is_data_error(self, tmp_path, capsys, holdout):
+        ds = synth_dataset(SynthSpec(n_classes=2, n_speakers=3, utt_per_speaker=6, frames_lo=4,
+                                     frames_hi=6, d=4, seed=0))
+        utts = tuple(replace(u, features=u.features * 1e45) if u.speaker == "spk00" else u
+                     for u in ds.utterances)
+        data, out = tmp_path / "data", tmp_path / "r"
+        save_dataset(Dataset(utts, ds.d, ds.class_names), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise out of run
+            code = run(["train", "--data", data, "--k", 1, "--gamma", 0.5, "--epochs", 2,
+                        "--z", 4, *holdout, "-o", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: speaker spk00")
         assert not (out / "metrics.json").exists()
         assert not list(out.glob("fold_*"))
 
@@ -642,7 +661,10 @@ class TestDiag:
                               (train + ["--jobs", -3, "-o", tmp_path / "jobs"],
                                "--jobs must be >= 1, got -3"),
                               (train + ["--jobs", 0, "--holdout", "spk00", "-o",
-                                        tmp_path / "jobs"], "--jobs must be >= 1, got 0")):
+                                        tmp_path / "jobs"], "--jobs must be >= 1, got 0"),
+                              # found before the data are read, as -o is
+                              (["train", "--jobs", 0, "--data", tmp_path / "missing", "-o",
+                                tmp_path / "jobs"], "--jobs must be >= 1, got 0")):
             capsys.readouterr()
             assert run(argv) == 1
             assert message in capsys.readouterr().err

@@ -601,7 +601,7 @@ class TestLosoCV:
         monkeypatch.setattr(training, "train", canned_train)
         tc = replace(self._tc(), k_grid=(1, 2, 3), gamma_grid=(0.5, 0.55, 0.6))
         fold = run_fold(small_corpus(speakers=3), tc, 0)
-        assert (fold.selected.config.num_layers, fold.selected_gamma) == expected
+        assert (fold.selected.config.num_layers, fold.selected.gamma) == expected
         assert fold.selected.val_ua == scores.get(expected, 0.5)
 
     @pytest.mark.parametrize("scores", [
@@ -634,7 +634,7 @@ class TestLosoCV:
         assert [(t.config.num_layers, t.gamma) for t in fold.trials] == [
             (k, g) for g in grid[1] for k in grid[0]]
         assert any(t is fold.selected for t in fold.trials)
-        assert fold.params is returned[fold.selected.config.num_layers, fold.selected_gamma]
+        assert fold.params is returned[fold.selected.config.num_layers, fold.selected.gamma]
 
     def test_temporal_kind_skips_gamma_grid(self):
         ds = small_corpus(speakers=3)
@@ -642,7 +642,7 @@ class TestLosoCV:
         tc = TrainConfig(model=cfg, epochs=2, seed=0, k_grid=(1,),
                          gamma_grid=(0.5, 0.55, 0.6), graph_kind="temporal")
         result = loso_cv(ds, tc)
-        assert all(f.selected_gamma == 0.5 for f in result.folds)
+        assert all(f.selected.gamma == 0.5 for f in result.folds)
 
 
 @settings(max_examples=300)

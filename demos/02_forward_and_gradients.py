@@ -25,7 +25,7 @@ graph = build_cosine_graph(x, gamma=0.4)
 print(f"graph: {graph.n_nodes} nodes, {len(graph.edges())} edges")
 
 # one graph runs as a group of one: x[None] and coeffs[None], results at [0]
-coeffs = norm_coefficients(graph, include_self=config.self_in_aggregation)
+coeffs = norm_coefficients(graph)
 logits, probs, cache = forward_arrays(params, config, x[None], coeffs[None], mode="eval")
 probs = probs[0]
 print("\nstage shapes:")
@@ -37,8 +37,7 @@ print("  probs            ", np.round(probs, 4), "sum", probs.sum())
 
 # Permutation invariance: shuffling node order leaves the prediction alone.
 perm = rng.permutation(graph.n_nodes)
-coeffs_perm = norm_coefficients(build_cosine_graph(x[perm], 0.4),
-                                include_self=config.self_in_aggregation)
+coeffs_perm = norm_coefficients(build_cosine_graph(x[perm], 0.4))
 _, probs_perm, _ = forward_arrays(params, config, x[perm][None], coeffs_perm[None],
                                   mode="eval")
 probs_perm = probs_perm[0]

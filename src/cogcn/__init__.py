@@ -21,7 +21,6 @@ from .features import (
     synth_dataset,
 )
 from .graph import (
-    Graph,
     build_cosine_graph,
     build_temporal_graph,
     cosine_similarity_matrix,
@@ -30,8 +29,6 @@ from .graph import (
     norm_coefficients,
 )
 from .model import (
-    Checkpoint,
-    ForwardCache,
     ModelConfig,
     ModelParams,
     forward_arrays,
@@ -45,11 +42,7 @@ from .model import (
 )
 from .training import (
     AdamState,
-    CVResult,
     EpochStats,
-    FoldResult,
-    Metrics,
-    PreparedGraph,
     TrainConfig,
     adam_step,
     backward,
@@ -63,11 +56,4 @@ from .training import (
     train,
     write_history_csv,
     write_metrics_json,
-)
-from .gradcheck import (
-    GradcheckInstance,
-    GradcheckReport,
-    finite_difference_grads,
-    max_relative_error,
-    run_gradcheck,
 )

@@ -90,8 +90,10 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, started: floa
 
 
 def _claim_output(path: str) -> Path:
-    """The ``-o`` directory, checked before any data is read: no part of the
-    path may be a file."""
+    """The ``-o`` directory, checked before any data is read: the path may not
+    be empty, and no part of it may be a file."""
+    if not path:
+        raise ValueError("an empty -o names no output directory")
     out = Path(path)
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
@@ -124,11 +126,11 @@ def cmd_train(args) -> int:
     model = _settings(ModelConfig, args, in_dim=dataset.d, num_classes=dataset.n_classes)
     tc = _settings(TrainConfig, args, model=model)
 
-    if args.holdout and args.holdout not in dataset.speakers:
+    if args.holdout is not None and args.holdout not in dataset.speakers:
         raise DataError(f"unknown holdout speaker '{args.holdout}'; "
                         f"available: {', '.join(dataset.speakers)}")
     try:  # a fault found in training names its speaker; the data are named here
-        if args.holdout:
+        if args.holdout is not None:
             fold = run_fold(dataset, tc, dataset.speakers.index(args.holdout))
             result = CVResult([fold], dataset.class_names)
         else:
@@ -169,13 +171,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    out = args.out and _claim_output(args.out)
+    out = None if args.out is None else _claim_output(args.out)
     ckpt = load_checkpoint(Path(args.ckpt))
     dataset = load_dataset(args.data, class_names=ckpt.class_names)
     if dataset.d != ckpt.config.in_dim:
         raise DataError(f"{args.data}: feature dimension d={dataset.d} does not match "
                         f"{args.ckpt} in_dim={ckpt.config.in_dim}")
-    if args.speaker:
+    if args.speaker is not None:
         dataset = dataset.subset_speakers([args.speaker])
 
     gamma = args.gamma if args.gamma is not None else ckpt.train_meta["gamma"]
@@ -190,7 +192,7 @@ def cmd_eval(args) -> int:
         "n_utterances": int(metrics.confusion.sum()),
         "class_names": list(ckpt.class_names),
     }
-    if out:
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out / "eval_metrics.json", json.dumps(payload, indent=2) + "\n")
         _write_run_manifest(

@@ -44,7 +44,6 @@ class Utterance:
     features: np.ndarray
     label: int
     speaker: str
-    session: str = ""
 
     @property
     def n_frames(self) -> int:
@@ -223,9 +222,9 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
     """Load a dataset from a JSON Lines manifest.
 
     Each manifest line is an object with string values for the keys id,
-    path (relative to the manifest), label, speaker, and optional session;
-    the id and the speaker must be plain file names. Every path must name a
-    ``.npy`` feature file (``_read_feature_npy``).
+    path (relative to the manifest), label and speaker; other keys are
+    ignored. The id and the speaker must be plain file names. Every path
+    must name a ``.npy`` feature file (``_read_feature_npy``).
     When ``class_names`` is given the manifest labels must be drawn from it;
     otherwise the sorted set of label strings defines the classes.
     """
@@ -244,10 +243,10 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
         if not isinstance(obj, dict):
             raise DataError(f"{manifest_path}:{lineno}: expected a JSON object, "
                             f"got {type(obj).__name__}")
-        for key in ("id", "path", "label", "speaker", "session"):
-            if key not in obj and key != "session":
+        for key in ("id", "path", "label", "speaker"):
+            if key not in obj:
                 raise DataError(f"{manifest_path}:{lineno}: missing key '{key}'")
-            if not isinstance(obj.get(key, ""), str):
+            if not isinstance(obj[key], str):
                 raise DataError(f"{manifest_path}:{lineno}: key '{key}' must be a string, "
                                 f"got {json.dumps(obj[key])}")
         for key in ("id", "speaker"):
@@ -290,7 +289,6 @@ def load_dataset(manifest_path: str | Path, class_names=None) -> Dataset:
                 features=feats,
                 label=label_index[entry["label"]],
                 speaker=entry["speaker"],
-                session=entry.get("session", ""),
             )
         )
     return Dataset(tuple(utterances), d, class_names)
@@ -340,7 +338,6 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, force: bool = False) -> 
                     "path": fname,
                     "label": dataset.class_names[utt.label],
                     "speaker": utt.speaker,
-                    "session": utt.session,
                 }
             )
         )
@@ -357,7 +354,8 @@ def fit_standardizer(dataset: Dataset, include_ids) -> StandardizeStats:
     """Per-dimension mean/std over all frames of the included utterances.
 
     Population std (ddof=0), floored at ``STD_FLOOR`` so constant dimensions
-    do not blow up the transform.
+    do not blow up the transform. A mean or std past float64's range is a
+    ``DataError`` naming the speakers whose frames reach that scale.
     """
     include_ids = set(include_ids)
     if not include_ids:
@@ -366,11 +364,18 @@ def fit_standardizer(dataset: Dataset, include_ids) -> StandardizeStats:
     unknown = include_ids - known
     if unknown:
         raise ValueError(f"include_ids not in dataset: {sorted(unknown)}")
-    frames = np.concatenate(
-        [u.features for u in dataset.utterances if u.id in include_ids], axis=0
-    )
-    mean = frames.mean(axis=0)
-    std = np.maximum(frames.std(axis=0), STD_FLOOR)
+    utts = [u for u in dataset.utterances if u.id in include_ids]
+    frames = np.concatenate([u.features for u in utts], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = frames.mean(axis=0)
+        std = np.maximum(frames.std(axis=0), STD_FLOOR)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        # a sum of n squares overflows only with some |x - mean| > sqrt(max / n),
+        # so some frame of a speaker named here exceeds half of that
+        big = np.sqrt(np.finfo(np.float64).max / len(frames)) / 2.0
+        speakers = sorted({u.speaker for u in utts if np.abs(u.features).max() > big})
+        raise DataError(f"speaker {', '.join(speakers)}: frames too large for a finite "
+                        f"float64 mean and std")
     return StandardizeStats(mean, std)
 
 
@@ -446,7 +451,6 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     utterances = []
     for s in range(spec.n_speakers):
         speaker = f"spk{s:02d}"
-        session = f"session{s // 2:02d}"
         for u in range(spec.utt_per_speaker):
             label = u % spec.n_classes
             n = int(rng.integers(spec.frames_lo, spec.frames_hi + 1))
@@ -466,7 +470,6 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
                     features=frames,
                     label=label,
                     speaker=speaker,
-                    session=session,
                 )
             )
     return Dataset(tuple(utterances), spec.d, class_names)

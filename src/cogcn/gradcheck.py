@@ -109,17 +109,10 @@ def max_relative_error(analytic: ModelParams, numeric: ModelParams) -> tuple[flo
 
 def _min_preactivation(instance: GradcheckInstance) -> float:
     _, _, cache = _forward(instance, instance.params)
-    # Rows whose aggregation coefficients are all zero (isolated nodes without
-    # self-aggregation) have structurally-zero pre-activations that no
-    # parameter perturbation can move, so they cannot cross the kink.
-    movable = np.any(instance.coeffs != 0.0, axis=1)
-    mins = []
-    for p in cache.mp_preacts:
-        if movable.any():
-            mins.append(np.abs(p[0, movable]).min())
-    if cache.pre_act is not None and cache.pre_act.size:
+    mins = [np.abs(p).min() for p in cache.mp_preacts]
+    if cache.pre_act is not None:
         mins.append(np.abs(cache.pre_act).min())
-    return min(mins) if mins else np.inf
+    return min(mins)
 
 
 def _draw_instance(rng: np.random.Generator, index: int) -> GradcheckInstance:
@@ -134,7 +127,6 @@ def _draw_instance(rng: np.random.Generator, index: int) -> GradcheckInstance:
     d = z if index % 5 == 0 else int(rng.integers(2, 7))  # include d == z skips
     c = int(rng.integers(2, 5))
     dropout = 0.1 if index % 2 == 0 else 0.0
-    self_agg = index % 3 != 0
 
     config = ModelConfig(
         in_dim=d,
@@ -144,7 +136,6 @@ def _draw_instance(rng: np.random.Generator, index: int) -> GradcheckInstance:
         use_pre=use_pre,
         use_skip=use_skip,
         dropout=dropout,
-        self_in_aggregation=self_agg,
         dtype="float64",
     )
     x = rng.standard_normal((n, d))
@@ -152,7 +143,7 @@ def _draw_instance(rng: np.random.Generator, index: int) -> GradcheckInstance:
         g = build_cosine_graph(x, float(rng.uniform(0.3, 0.7)))
     else:
         g = build_temporal_graph(x)
-    coeffs = norm_coefficients(g, include_self=self_agg)
+    coeffs = norm_coefficients(g)
     params = init_params(config, int(rng.integers(2**31)))
     label = int(rng.integers(c))
     mask = sample_dropout_mask(config, rng)

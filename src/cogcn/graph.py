@@ -122,21 +122,20 @@ def build_temporal_graph(x) -> Graph:
     return Graph(adjacency, 1.0 + adjacency.sum(axis=1, dtype=np.float64))
 
 
-def norm_coefficients(g: Graph, include_self: bool = True, dtype=np.float64) -> np.ndarray:
+def norm_coefficients(g: Graph, dtype=np.float64) -> np.ndarray:
     """Aggregation coefficients c[i, j] = 1 / sqrt(degree_hat[i] * degree_hat[j]).
 
-    Nonzero on the adjacency support and, when ``include_self`` (the
-    default), on the diagonal, so that aggregation runs over each node's
-    neighbourhood plus the node itself. Returned dense in ``dtype``; each
-    entry is the float64 product rounded once, so a float32 result has the
-    bits of the float64 one cast. Off-support entries are exactly zero.
+    Nonzero on the adjacency support and on the diagonal, so that
+    aggregation runs over each node's neighbourhood plus the node itself.
+    Returned dense in ``dtype``; each entry is the float64 product rounded
+    once, so a float32 result has the bits of the float64 one cast.
+    Off-support entries are exactly zero.
     """
     inv_sqrt = 1.0 / np.sqrt(g.degree_hat)
     n = len(inv_sqrt)
     coeffs = np.multiply.outer(inv_sqrt, inv_sqrt, out=np.empty((n, n), dtype=dtype))
     coeffs *= g.adjacency
-    if include_self:
-        coeffs.reshape(-1)[:: n + 1] = inv_sqrt * inv_sqrt
+    coeffs.reshape(-1)[:: n + 1] = inv_sqrt * inv_sqrt
     return coeffs
 
 

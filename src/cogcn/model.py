@@ -64,7 +64,6 @@ class ModelConfig:
     use_pre: bool = True
     use_skip: bool = True
     dropout: float = 0.1
-    self_in_aggregation: bool = True
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -397,8 +396,13 @@ def save_checkpoint(
     reload bit-exactly. ``standardizer`` and ``train_meta`` (the ``gamma``
     and ``graph_kind`` used in training, and any other JSON values) make the
     file sufficient for standalone evaluation. The text is one
-    ``json.dumps`` of the whole object.
+    ``json.dumps`` of the whole object. A standardizer that ``load_checkpoint``
+    would refuse is a ``DataError`` naming ``path``, and nothing is written.
     """
+    try:
+        StandardizeStats.from_dict(standardizer.to_dict(), config.in_dim)
+    except ValueError as exc:
+        raise DataError(f"{path}: not written: {exc}") from exc
     obj = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
@@ -471,6 +475,10 @@ def _config_from_json(stored) -> ModelConfig:
     """The checkpoint's ``config`` object as a ModelConfig, every field type checked."""
     if type(stored) is not dict:
         raise ValueError(f"config is not an object: {stored!r}")
+    stored = dict(stored)  # older checkpoints carry the one setting that is now fixed
+    if stored.pop("self_in_aggregation", True) is not True:
+        raise ValueError("config self_in_aggregation must be true: aggregation always "
+                         "includes the node itself")
     for f in fields(ModelConfig):
         if f.name in stored and type(stored[f.name]) not in _JSON_TYPES[f.type]:
             raise ValueError(f"config {f.name} must be of type {f.type}, got {stored[f.name]!r}")

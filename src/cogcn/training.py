@@ -275,7 +275,7 @@ def _graph_arrays(dataset: Dataset, gamma: float, graph_kind: str, config: Model
     for utt in dataset.utterances:
         x = utt.features if stats is None else stats.standardize(utt.features)
         g = build_cosine_graph(x, gamma) if graph_kind == "cosine" else build_temporal_graph(x)
-        coeffs = norm_coefficients(g, config.self_in_aggregation, config.np_dtype)
+        coeffs = norm_coefficients(g, config.np_dtype)
         yield PreparedGraph(utt.id, x, coeffs, utt.label)
 
 

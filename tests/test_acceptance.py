@@ -75,12 +75,10 @@ def test_criterion_2_permutation_invariance():
         n = int(rng.integers(2, 10))
         x = rng.standard_normal((n, cfg.in_dim))
         gamma = float(rng.uniform(0.2, 0.7))
-        coeffs = norm_coefficients(build_cosine_graph(x, gamma),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_cosine_graph(x, gamma))
         _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         perm = rng.permutation(n)
-        coeffs_p = norm_coefficients(build_cosine_graph(x[perm], gamma),
-                                     include_self=cfg.self_in_aggregation)
+        coeffs_p = norm_coefficients(build_cosine_graph(x[perm], gamma))
         _, probs_p, _ = forward_arrays(params, cfg, x[perm][None], coeffs_p[None], mode="eval")
         worst = max(worst, float(np.max(np.abs(probs[0] - probs_p[0]))))
     _report(

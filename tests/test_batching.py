@@ -32,14 +32,15 @@ from cogcn.training import (
 # beside 100 would break the budget
 LENGTHS = (23, 2, 130, 45, 7, 32, 60, 16, 100, 31)
 D, Z = 8, 16  # desk scale
-COMBOS = list(itertools.product(("float32", "float64"), (True, False), (True, False),
-                                (True, False)))
+COMBOS = list(itertools.product(("float32", "float64"), (True, False), (True, False)))
+# A case keeps the id it had while aggregation with and without the node
+# itself were both tested: the "-True" suffix is the setting that remains.
+COMBO_IDS = [f"{dtype}-{use_pre}-{use_skip}-True" for dtype, use_pre, use_skip in COMBOS]
 
 
-def _config(dtype, use_pre, use_skip, self_agg, **kwargs):
+def _config(dtype, use_pre, use_skip, **kwargs):
     return ModelConfig(in_dim=D, hidden_dim=Z, num_layers=3, num_classes=4,
-                       use_pre=use_pre, use_skip=use_skip, self_in_aggregation=self_agg,
-                       dtype=dtype, **kwargs)
+                       use_pre=use_pre, use_skip=use_skip, dtype=dtype, **kwargs)
 
 
 def _params(config, seed):
@@ -58,8 +59,7 @@ def _graphs(config, lengths=LENGTHS, seed=0):
     graphs = []
     for i, n in enumerate(lengths):
         x = rng.standard_normal((n, config.in_dim))
-        coeffs = norm_coefficients(build_cosine_graph(x, 0.3),
-                                   include_self=config.self_in_aggregation)
+        coeffs = norm_coefficients(build_cosine_graph(x, 0.3))
         graphs.append(PreparedGraph(f"u{i}", x.astype(config.np_dtype),
                                     coeffs.astype(config.np_dtype),
                                     int(rng.integers(config.num_classes))))
@@ -84,14 +84,14 @@ def _assert_same(actual, expected, config, bits=True, one_node=False):
         assert np.array_equal(actual, expected)
 
 
-@pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
+@pytest.mark.parametrize("dtype, use_pre, use_skip", COMBOS, ids=COMBO_IDS)
 @settings(max_examples=45)
 @given(lengths=st.lists(st.integers(1, 130), min_size=1, max_size=12),
        seed=st.integers(0, 2**32 - 1))
 @example(lengths=LENGTHS, seed=0)
 @example(lengths=[n for n in LENGTHS if n <= 60], seed=0)  # one padded run
-def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg, lengths, seed):
-    config = _config(dtype, use_pre, use_skip, self_agg)
+def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, lengths, seed):
+    config = _config(dtype, use_pre, use_skip)
     params = _params(config, 1)
     graphs = _graphs(config, lengths, seed)
     masks = sample_dropout_mask(config, np.random.default_rng(2), (len(graphs),))
@@ -119,9 +119,9 @@ def test_group_matches_one_call_per_graph(dtype, use_pre, use_skip, self_agg, le
                 assert losses[b] == cross_entropy_from_logits(one_logits, [pg.label])[0]
 
 
-@pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
-def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip, self_agg):
-    config = _config(dtype, use_pre, use_skip, self_agg, dropout=0.1)
+@pytest.mark.parametrize("dtype, use_pre, use_skip", COMBOS, ids=COMBO_IDS)
+def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip):
+    config = _config(dtype, use_pre, use_skip, dropout=0.1)
     params = _params(config, 3)
     graphs = _graphs(config, seed=4)
     assert len(list(_groups(graphs))) == 3
@@ -142,10 +142,9 @@ def test_batch_gradient_matches_ascending_per_graph_sum(dtype, use_pre, use_skip
     _assert_same(grads.flat, expected.flat, config)
 
 
-@pytest.mark.parametrize("dtype, use_pre, use_skip, self_agg", COMBOS)
-def test_workspace_gives_the_bits_of_fresh_arrays(dtype, use_pre, use_skip, self_agg,
-                                                  monkeypatch):
-    config = _config(dtype, use_pre, use_skip, self_agg)
+@pytest.mark.parametrize("dtype, use_pre, use_skip", COMBOS, ids=COMBO_IDS)
+def test_workspace_gives_the_bits_of_fresh_arrays(dtype, use_pre, use_skip, monkeypatch):
+    config = _config(dtype, use_pre, use_skip)
     params = _params(config, 9)
     graphs = _graphs(config, seed=10)
     workspace = Workspace()
@@ -191,7 +190,7 @@ def test_workspace_gives_the_bits_of_fresh_arrays(dtype, use_pre, use_skip, self
 
 
 def test_train_reuses_one_workspace_across_batches(monkeypatch):
-    config = _config("float32", True, True, True)
+    config = _config("float32", True, True)
     # eight 5-frame graphs in batches of 4: every batch is one (4, 5) group
     train_graphs = _graphs(config, lengths=(5,) * 8, seed=12)
     val_graphs = [replace(pg, id=f"val{i}") for i, pg in
@@ -215,12 +214,14 @@ def test_train_reuses_one_workspace_across_batches(monkeypatch):
             assert np.shares_memory(u, v)
 
 
-@pytest.mark.parametrize("use_pre, use_skip, self_agg", itertools.product((True, False),
-                                                                          repeat=3))
-def test_single_graph_backward_matches_finite_differences(use_pre, use_skip, self_agg):
+PRE_SKIP = list(itertools.product((True, False), repeat=2))
+
+
+@pytest.mark.parametrize("use_pre, use_skip", PRE_SKIP,
+                         ids=[f"{pre}-{skip}-True" for pre, skip in PRE_SKIP])  # as COMBO_IDS
+def test_single_graph_backward_matches_finite_differences(use_pre, use_skip):
     config = ModelConfig(in_dim=3, hidden_dim=4, num_layers=2, num_classes=3,
-                         use_pre=use_pre, use_skip=use_skip, self_in_aggregation=self_agg,
-                         dtype="float64")
+                         use_pre=use_pre, use_skip=use_skip, dtype="float64")
     pg = _graphs(config, lengths=(5,), seed=6)[0]
     mask = sample_dropout_mask(config, np.random.default_rng(7))
     instance = GradcheckInstance(config, _params(config, 8), pg.x, pg.coeffs, pg.label,
@@ -233,7 +234,7 @@ def test_single_graph_backward_matches_finite_differences(use_pre, use_skip, sel
 
 
 def test_grouping_rule():
-    config = _config("float64", True, True, True)
+    config = _config("float64", True, True)
     graphs = _graphs(config)
     runs = list(_groups(graphs))
     at = 0
@@ -254,7 +255,7 @@ def test_grouping_rule():
 
 
 def test_single_graph_passes_its_arrays_as_they_are():
-    pg = _graphs(_config("float32", True, True, True), lengths=(300,))[0]
+    pg = _graphs(_config("float32", True, True), lengths=(300,))[0]
     (x, coeffs, n_nodes, labels), = _groups([pg])
     assert x.base is pg.x and coeffs.base is pg.coeffs  # views, no copy
     assert x.shape == (1,) + pg.x.shape and coeffs.shape == (1,) + pg.coeffs.shape

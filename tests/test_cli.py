@@ -168,24 +168,35 @@ class TestTrain:
         assert not (out / "metrics.json").exists()
         assert not list(out.glob("fold_*"))
 
-    # spk00's frames times 1e45 standardize past float32's range: spk00 is the
-    # test speaker of fold spk00 and the validation speaker of fold spk02
-    @pytest.mark.parametrize("holdout", [[], ["--holdout", "spk00"], ["--holdout", "spk02"]])
-    def test_overflowing_speaker_is_data_error(self, tmp_path, capsys, holdout):
+    def _assert_scaled_speaker_is_data_error(self, tmp_path, capsys, speaker, scale, argv):
         ds = synth_dataset(SynthSpec(n_classes=2, n_speakers=3, utt_per_speaker=6, frames_lo=4,
                                      frames_hi=6, d=4, seed=0))
-        utts = tuple(replace(u, features=u.features * 1e45) if u.speaker == "spk00" else u
+        utts = tuple(replace(u, features=u.features * scale) if u.speaker == speaker else u
                      for u in ds.utterances)
         data, out = tmp_path / "data", tmp_path / "r"
         save_dataset(Dataset(utts, ds.d, ds.class_names), data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise out of run
             code = run(["train", "--data", data, "--k", 1, "--gamma", 0.5, "--epochs", 2,
-                        "--z", 4, *holdout, "-o", out])
+                        "--z", 4, *argv, "-o", out])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {data}: speaker spk00")
+        assert capsys.readouterr().err.startswith(f"error: {data}: speaker {speaker}")
         assert not (out / "metrics.json").exists()
         assert not list(out.glob("fold_*"))
+
+    # spk00's frames times 1e45 standardize past float32's range: spk00 is the
+    # test speaker of fold spk00 and the validation speaker of fold spk02
+    @pytest.mark.parametrize("holdout", [[], ["--holdout", "spk00"], ["--holdout", "spk02"]])
+    def test_overflowing_speaker_is_data_error(self, tmp_path, capsys, holdout):
+        self._assert_scaled_speaker_is_data_error(tmp_path, capsys, "spk00", 1e45, holdout)
+
+    # spk01 is fold spk02's only training speaker: its frames overflow the
+    # float64 standardizer's std, which once reached the checkpoint as Infinity
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflowing_standardizer_is_data_error(self, tmp_path, capsys, scale, dtype):
+        self._assert_scaled_speaker_is_data_error(tmp_path, capsys, "spk01", scale,
+                                                  ["--holdout", "spk02", "--dtype", dtype])
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_fails_before_training(self, tmp_path, data_dir, capsys, lr):
@@ -701,7 +712,7 @@ def _has_saved_types(ckpt):
     def numbers(value):
         return all(map(numbers, value)) if type(value) is list else type(value) in (int, float)
     kinds = {"in_dim": int, "hidden_dim": int, "num_layers": int, "num_classes": int,
-             "use_pre": bool, "use_skip": bool, "self_in_aggregation": bool, "dtype": str}
+             "use_pre": bool, "use_skip": bool, "dtype": str}
     config, stats = ckpt["config"], ckpt["standardizer"]
     return (type(ckpt["format_version"]) is int
             and all(type(config[k]) is kind for k, kind in kinds.items() if k in config)
@@ -815,6 +826,20 @@ def test_output_path_is_claimed_before_any_data_is_read(tiny_run, command, kind)
         assert code == 0 and (out / "run_manifest.json").is_file()
     if kind == "non_empty":
         assert (out / "keep.txt").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--holdout"), ("eval", "--speaker"),
+                                           *[(command, "-o") for command in OUTPUT_COMMANDS]])
+def test_empty_flag_value_is_refused(tiny_run, tmp_path, monkeypatch, capsys, command, flag):
+    # "" names no speaker and no directory; it neither means "every speaker"
+    # nor writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    argv = OUTPUT_COMMANDS[command](tiny_run) + ["-o", tmp_path / "out"]
+    argv[argv.index(flag) + 1] = ""
+    capsys.readouterr()
+    assert run(argv) == (1 if flag == "-o" else 2)
+    assert ("empty -o" if flag == "-o" else "''") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "graph"])

@@ -283,10 +283,10 @@ class TestStandardizer:
             apply_standardizer(ds, StandardizeStats(np.zeros(3), np.ones(3)))
 
     def test_metadata_untouched(self):
-        ds = Dataset((Utterance("u", np.array([[5.0]]), 1, "spk", "sess"),), 1, ("x", "y"))
+        ds = Dataset((Utterance("u", np.array([[5.0]]), 1, "spk"),), 1, ("x", "y"))
         out = apply_standardizer(ds, StandardizeStats(np.zeros(1), np.ones(1)))
         utt = out.by_id("u")
-        assert (utt.label, utt.speaker, utt.session) == (1, "spk", "sess")
+        assert (utt.label, utt.speaker) == (1, "spk")
 
 
 def nearest_centroid_accuracy(dataset):
@@ -365,7 +365,6 @@ class TestRoundTrip:
             assert orig.id == loaded.id
             assert orig.label == loaded.label
             assert orig.speaker == loaded.speaker
-            assert orig.session == loaded.session
             assert np.array_equal(orig.features, loaded.features)
 
     @given(

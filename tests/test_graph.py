@@ -158,12 +158,6 @@ class TestNormCoefficients:
         assert coeffs[1, 0] == pytest.approx(1.0 / math.sqrt(6.0))
         assert coeffs[0, 2] == 0.0
 
-    def test_without_self(self):
-        g = build_temporal_graph(np.zeros((3, 1)))
-        coeffs = norm_coefficients(g, include_self=False)
-        assert np.all(np.diag(coeffs) == 0.0)
-        assert coeffs[1, 0] == pytest.approx(1.0 / math.sqrt(6.0))
-
 
 def parent_similarity(x):
     """The similarity formula graph.py used before it thresholded the raw
@@ -179,21 +173,20 @@ def parent_similarity(x):
     return sim
 
 
-def parent_coefficients(adjacency, degree_hat, include_self):
+def parent_coefficients(adjacency, degree_hat):
     """The old float64 coefficients: where(adjacency, outer, 0) with the diagonal filled."""
     inv_sqrt = 1.0 / np.sqrt(degree_hat)
     coeffs = np.where(adjacency, np.outer(inv_sqrt, inv_sqrt), 0.0)
-    if include_self:
-        np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
+    np.fill_diagonal(coeffs, inv_sqrt * inv_sqrt)
     return coeffs
 
 
-def parent_cosine_graph(x, gamma, include_self):
+def parent_cosine_graph(x, gamma):
     """The old threshold and coefficients on ``parent_similarity``."""
     adjacency = parent_similarity(x) >= gamma
     np.fill_diagonal(adjacency, False)
     degree_hat = 1.0 + adjacency.sum(axis=1).astype(np.float64)
-    return adjacency, degree_hat, parent_coefficients(adjacency, degree_hat, include_self)
+    return adjacency, degree_hat, parent_coefficients(adjacency, degree_hat)
 
 
 def layouts(x):
@@ -231,14 +224,12 @@ def test_cosine_graph_matches_parent_formulas_bytewise(gamma):
     # some integer collinear pairs just below 1, and gamma 1.0 drops their edge
     for x in oracle_inputs():
         g = build_cosine_graph(x, gamma)
-        for include_self in (True, False):
-            adjacency, degree_hat, coeffs = parent_cosine_graph(np.ascontiguousarray(x), gamma,
-                                                                include_self)
-            assert g.adjacency.tobytes() == adjacency.tobytes()
-            assert g.degree_hat.tobytes() == degree_hat.tobytes()
-            actual = norm_coefficients(g, include_self=include_self)
-            assert actual.dtype == np.float64 and actual.tobytes() == coeffs.tobytes()
-            assert actual.astype(np.float32).tobytes() == coeffs.astype(np.float32).tobytes()
+        adjacency, degree_hat, coeffs = parent_cosine_graph(np.ascontiguousarray(x), gamma)
+        assert g.adjacency.tobytes() == adjacency.tobytes()
+        assert g.degree_hat.tobytes() == degree_hat.tobytes()
+        actual = norm_coefficients(g)
+        assert actual.dtype == np.float64 and actual.tobytes() == coeffs.tobytes()
+        assert actual.astype(np.float32).tobytes() == coeffs.astype(np.float32).tobytes()
 
 
 def test_similarity_matches_parent_formula():
@@ -263,13 +254,13 @@ def test_memory_layout_never_changes_a_bit(x, gamma):
     # a similarity, and so a graph, depends only on the values of the features
     c_order, *others = layouts(x)
     sim, g = cosine_similarity_matrix(c_order), build_cosine_graph(c_order, gamma)
-    coeffs = [norm_coefficients(g, True, dt).tobytes() for dt in (np.float32, np.float64)]
+    coeffs = [norm_coefficients(g, dt).tobytes() for dt in (np.float32, np.float64)]
     for other in others:
         assert cosine_similarity_matrix(other).tobytes() == sim.tobytes()
         g_other = build_cosine_graph(other, gamma)
         assert g_other.adjacency.tobytes() == g.adjacency.tobytes()
         assert g_other.degree_hat.tobytes() == g.degree_hat.tobytes()
-        assert [norm_coefficients(g_other, True, dt).tobytes()
+        assert [norm_coefficients(g_other, dt).tobytes()
                 for dt in (np.float32, np.float64)] == coeffs
 
 
@@ -282,19 +273,18 @@ def test_temporal_graph_matches_parent_formulas_bytewise():
         g = build_temporal_graph(np.ones((n, 2)))
         assert g.adjacency.tobytes() == adjacency.tobytes()
         assert g.degree_hat.tobytes() == degree_hat.tobytes()
-        for include_self in (True, False):
-            coeffs = parent_coefficients(adjacency, degree_hat, include_self)
-            assert norm_coefficients(g, include_self).tobytes() == coeffs.tobytes()
+        coeffs = parent_coefficients(adjacency, degree_hat)
+        assert norm_coefficients(g).tobytes() == coeffs.tobytes()
 
 
 @settings(max_examples=150)
-@given(small_matrices, st.sampled_from([-0.5, 0.0, 0.5, 0.55, 0.6, 1.0]), st.booleans(),
+@given(small_matrices, st.sampled_from([-0.5, 0.0, 0.5, 0.55, 0.6, 1.0]),
        st.sampled_from(["cosine", "temporal"]))
-def test_float32_coefficients_are_the_float64_formula_cast(x, gamma, include_self, kind):
+def test_float32_coefficients_are_the_float64_formula_cast(x, gamma, kind):
     # built in float32 straight away: one rounding of each float64 product
     g = build_cosine_graph(x, gamma) if kind == "cosine" else build_temporal_graph(x)
-    expected = parent_coefficients(g.adjacency, g.degree_hat, include_self).astype(np.float32)
-    actual = norm_coefficients(g, include_self, dtype=np.float32)
+    expected = parent_coefficients(g.adjacency, g.degree_hat).astype(np.float32)
+    actual = norm_coefficients(g, dtype=np.float32)
     assert actual.dtype == np.float32 and actual.flags.c_contiguous
     assert actual.tobytes() == expected.tobytes()
 

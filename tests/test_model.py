@@ -2,6 +2,8 @@
 Permutation invariance and parameter accounting live in acceptance criteria
 2 and 4."""
 
+import contextlib
+import io
 import itertools
 import math
 import tempfile
@@ -14,9 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cogcn import (
+    DataError,
+    Dataset,
     ModelConfig,
     ModelParams,
     StandardizeStats,
+    Utterance,
     backward,
     build_cosine_graph,
     build_temporal_graph,
@@ -28,11 +33,14 @@ from cogcn import (
     param_layout,
     sample_dropout_mask,
     save_checkpoint,
+    save_dataset,
     softmax,
 )
+from cogcn import cli
 from cogcn.model import Workspace
 
 PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_float64.json"
+SELF_KEY = b' "self_in_aggregation": true,'  # in the fixture's config; no longer written
 TRAIN_META = {"gamma": 0.55, "graph_kind": "cosine"}
 
 
@@ -183,7 +191,7 @@ class TestStages:
         cfg = ModelConfig(in_dim=2, hidden_dim=2, num_layers=1, num_classes=2,
                           use_pre=False, use_skip=False, dtype="float64")
         params = init_params(cfg, 0)
-        coeffs = norm_coefficients(g, include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(g)
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         w = params.w_msg[0]
         np.testing.assert_allclose(cache.hs[1][0][1], np.maximum(w @ x[1], 0.0), atol=1e-15)
@@ -237,8 +245,7 @@ class TestClassify:
         params.w_out[...] = 0.0
         params.b_out[...] = b_out
         x = np.array([[1.0, 2.0], [9.0, -9.0]])
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         return probs[0]
 
@@ -253,8 +260,7 @@ class TestClassify:
         cfg = config64()
         params = init_params(cfg, 2)
         x = np.random.default_rng(2).standard_normal((5, 4))
-        coeffs = norm_coefficients(build_cosine_graph(x, 0.3),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_cosine_graph(x, 0.3))
         a = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")[1][0]
         assert np.array_equal(a, forward_arrays(params, cfg, x[None], coeffs[None],
                                                 mode="eval")[1][0])
@@ -265,8 +271,7 @@ class TestClassify:
                                                           elements=st.floats(-10.0, 10.0))))
     def test_simplex_at_model_scales(self, seed, gamma, x):
         cfg = config64(num_classes=5)
-        coeffs = norm_coefficients(build_cosine_graph(x, gamma),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_cosine_graph(x, gamma))
         logits, probs, _ = forward_arrays(init_params(cfg, seed), cfg, x[None], coeffs[None],
                                           mode="eval")
         assert abs(probs.sum() - 1.0) < 1e-12 and np.all((probs >= 0.0) & (probs <= 1.0))
@@ -294,8 +299,7 @@ class TestForward:
         # the row itself; identity head -> softmax([2, 0]).
         cfg, params = identity_params(2, 1, 2)
         x = np.array([[1.0, -2.0]])
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         _, probs, _ = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         e2 = math.exp(2.0)
         np.testing.assert_allclose(probs[0], [e2 / (1 + e2), 1 / (1 + e2)], atol=1e-15)
@@ -309,13 +313,13 @@ class TestForward:
             * np.array([1.0, -1.0, 2.0, 0.5])
         g = build_cosine_graph(x, 1.0)  # distinct directions: no edges
         assert g.edges() == []
-        coeffs = norm_coefficients(g, include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(g)
         _, probs, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
 
         finals = []
         for i in range(5):
             gi = build_cosine_graph(x[i : i + 1], 1.0)
-            ci_coeffs = norm_coefficients(gi, include_self=cfg.self_in_aggregation)
+            ci_coeffs = norm_coefficients(gi)
             _, _, ci = forward_arrays(params, cfg, x[i : i + 1][None], ci_coeffs[None],
                                       mode="eval")
             finals.append(ci.hs[-1][0][0])
@@ -330,8 +334,7 @@ class TestForward:
         cfg = config64(use_pre=False, num_layers=2)
         params = init_params(cfg, 1)
         x = np.random.default_rng(7).standard_normal((4, 4))
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         assert cfg.hidden_dim != cfg.in_dim
         assert cache.skips == [False, True]
@@ -340,8 +343,7 @@ class TestForward:
         cfg = ModelConfig(in_dim=6, hidden_dim=6, num_layers=2, use_pre=False, dtype="float64")
         params = init_params(cfg, 1)
         x = np.random.default_rng(8).standard_normal((3, 6))
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         assert cache.skips == [True, True]
 
@@ -349,8 +351,7 @@ class TestForward:
         cfg = config64(dropout=0.1)
         params = init_params(cfg, 0)
         x = np.zeros((2, 4))
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         with pytest.raises(ValueError, match="rng"):
             forward_arrays(params, cfg, x[None], coeffs[None], mode="train")
 
@@ -358,8 +359,7 @@ class TestForward:
         cfg = config64()
         params = init_params(cfg, 0)
         x = np.zeros((2, 4))
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         with pytest.raises(ValueError, match="mode"):
             forward_arrays(params, cfg, x[None], coeffs[None], mode="predict")
 
@@ -458,6 +458,15 @@ class TestCheckpoint:
         ckpt = load_checkpoint(tmp_path / "m.json")
         assert np.array_equal(ckpt.standardizer.mean, stats.mean)
 
+    @pytest.mark.parametrize("std", [np.inf, 0.0])
+    def test_standardizer_that_would_not_load_is_not_written(self, tmp_path, std):
+        cfg = config64()
+        stats = StandardizeStats(np.zeros(4), np.array([1.0, std, 1.0, 1.0]))
+        with pytest.raises(DataError, match="m.json: not written: standardizer mean and std"):
+            save_checkpoint(tmp_path / "m.json", init_params(cfg, 0), cfg, ("a", "b", "c"),
+                            standardizer=stats, train_meta=TRAIN_META)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_version_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="format_version"):
@@ -465,7 +474,8 @@ class TestCheckpoint:
 
     def test_parent_format_float64_reloads_bit_exactly(self, tmp_path):
         # the fixture was written before parameters moved into one flat
-        # vector; the format must not change in either direction
+        # vector, and while the config still carried self_in_aggregation; the
+        # format must not change in either direction except for that key
         ckpt = load_checkpoint(PARENT_CHECKPOINT)
         cfg = ModelConfig(in_dim=3, hidden_dim=4, num_layers=2, num_classes=3,
                           dtype="float64")
@@ -473,7 +483,24 @@ class TestCheckpoint:
         assert np.array_equal(ckpt.params.flat, init_params(cfg, 5).flat)
         save_checkpoint(tmp_path / "m.json", ckpt.params, ckpt.config, ckpt.class_names,
                         standardizer=ckpt.standardizer, train_meta=ckpt.train_meta)
-        assert (tmp_path / "m.json").read_bytes() == PARENT_CHECKPOINT.read_bytes()
+        parent = PARENT_CHECKPOINT.read_bytes()
+        assert parent.count(SELF_KEY) == 1
+        assert (tmp_path / "m.json").read_bytes() == parent.replace(SELF_KEY, b"")
+
+    def test_aggregation_without_the_node_itself_is_refused(self, tmp_path):
+        # every checkpoint from before the setting was fixed carries it as true
+        path = tmp_path / "m.json"
+        path.write_bytes(PARENT_CHECKPOINT.read_bytes().replace(
+            SELF_KEY, b' "self_in_aggregation": false,'))
+        with pytest.raises(DataError, match="self_in_aggregation must be true") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        data = tmp_path / "data"
+        save_dataset(Dataset((Utterance("u", np.ones((2, 3)), 0, "s"),), 3, ("a", "b", "c")),
+                     data)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["eval", "--ckpt", str(path), "--data", str(data)]) == 2
+        assert f"error: {path}: malformed checkpoint" in err.getvalue()
 
 
 def one_shot_checkpoint_text(params, config, class_names, standardizer, train_meta):

@@ -97,8 +97,7 @@ class TestBackward:
         params.w_out[:] = 0.0
         params.b_out[:] = 0.0
         x = np.random.default_rng(2).standard_normal((3, 3))
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         mask = sample_dropout_mask(cfg, np.random.default_rng(0))
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="train",
                                      dropout_mask=mask[None])
@@ -115,8 +114,7 @@ class TestBackward:
         x2 = rng.standard_normal((4, 3))
 
         def grad_of(x, label):
-            coeffs = norm_coefficients(build_temporal_graph(x),
-                                       include_self=cfg.self_in_aggregation)
+            coeffs = norm_coefficients(build_temporal_graph(x))
             mask = sample_dropout_mask(cfg, np.random.default_rng(0))
             _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="train",
                                          dropout_mask=mask[None])
@@ -161,8 +159,7 @@ class TestBackward:
         cfg = ModelConfig(in_dim=3, hidden_dim=4, num_layers=1, dtype="float64")
         params = init_params(cfg, 0)
         x = np.zeros((2, 3))
-        coeffs = norm_coefficients(build_temporal_graph(x),
-                                   include_self=cfg.self_in_aggregation)
+        coeffs = norm_coefficients(build_temporal_graph(x))
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         with pytest.raises(ValueError, match="train-mode"):
             backward(params, cfg, cache, [0])
@@ -399,7 +396,7 @@ def old_prepare_graphs(std_ds, gamma, graph_kind, config):
     for utt in std_ds.utterances:
         g = (build_cosine_graph(utt.features, gamma) if graph_kind == "cosine"
              else build_temporal_graph(utt.features))
-        coeffs = norm_coefficients(g, include_self=config.self_in_aggregation)
+        coeffs = norm_coefficients(g)
         out.append((utt.id, np.ascontiguousarray(utt.features, dtype=dt),
                     np.ascontiguousarray(coeffs, dtype=dt), utt.label))
     return out

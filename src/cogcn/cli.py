@@ -121,6 +121,8 @@ def cmd_train(args) -> int:
     out = _claim_output(args.out)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if "gamma_grid" in args and getattr(args, "graph_kind", None) == "temporal":
+        raise ValueError("argument --gamma: not allowed with --graph temporal (no threshold)")
     dataset = load_dataset(args.data)
     # num_layers keeps its default: run_fold sets each trial's K from the grid
     model = _settings(ModelConfig, args, in_dim=dataset.d, num_classes=dataset.n_classes)
@@ -180,8 +182,7 @@ def cmd_eval(args) -> int:
     if args.speaker is not None:
         dataset = dataset.subset_speakers([args.speaker])
 
-    gamma = args.gamma if args.gamma is not None else ckpt.train_meta["gamma"]
-    graph_kind = args.graph or ckpt.train_meta["graph_kind"]
+    gamma, graph_kind = ckpt.train_meta["gamma"], ckpt.train_meta["graph_kind"]
     metrics = evaluate_checked(ckpt.params, ckpt.config, dataset, ckpt.standardizer, gamma,
                                graph_kind, f"{args.ckpt}: checkpoint")
 
@@ -306,8 +307,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--speaker", default=None, help="restrict to one speaker")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--graph", choices=GRAPH_KINDS, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval)

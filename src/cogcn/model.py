@@ -5,16 +5,16 @@ Forward pipeline per graph, all plain numpy:
     h0        = relu(x @ W_pre.T + b_pre)        row-wise pre-layer (optional)
     agg_k     = coeffs @ h_k                      degree-normalized aggregation
     h'_{k+1}  = relu(agg_k @ W_msg[k].T)          shared transform, bias-free
-    h_{k+1}   = h'_{k+1} + h_k                    skip, when enabled and shapes match
+    h_{k+1}   = h'_{k+1} + h_k                    skip, where ``ModelConfig.skip_at(k)``
     h_graph   = mean over rows of h_K             readout
     probs     = softmax(W_out @ h_graph + b_out)  head; inverted dropout on
                                                   h_graph in train mode only
 
 Without the pre-layer the first message-passing weight maps the raw input
-dimension to the hidden width, so the first skip is shape-gated. The forward
-cache retains every intermediate needed for exact reverse-mode gradients
-(see ``training.backward``). Every learnable array is a view into one flat
-vector laid out by ``param_layout``.
+dimension to the hidden width, so layer 0 skips only when the two are equal.
+The forward cache retains every intermediate needed for exact reverse-mode
+gradients (see ``training.backward``). Every learnable array is a view into
+one flat vector laid out by ``param_layout``.
 
 Every input is a group of graphs, ``x`` (B, N, d) with ``coeffs`` (B, N, N);
 one graph is a group of one, ``x[None]`` with ``coeffs[None]``. A group of
@@ -90,6 +90,10 @@ class ModelConfig:
             return self.in_dim
         return self.hidden_dim
 
+    def skip_at(self, k: int) -> bool:
+        """Whether layer ``k`` adds its input back: skips on, input of the hidden width."""
+        return self.use_skip and self.layer_in_dim(k) == self.hidden_dim
+
 
 @lru_cache(maxsize=128)
 def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int], ...]:
@@ -163,7 +167,6 @@ class ForwardCache:
     hs: list  # h_0 .. h_K
     aggs: list  # coeffs @ h_k per layer
     mp_preacts: list  # agg_k @ W_msg[k].T per layer
-    skips: list  # whether the skip was applied at each layer
     dropout_mask: np.ndarray | None  # None in eval mode
     h_dropped: np.ndarray  # the readout, with dropout in train mode
     logits: np.ndarray
@@ -315,19 +318,16 @@ def forward_arrays(
     hs = [h]
     aggs: list[np.ndarray] = []
     mp_preacts: list[np.ndarray] = []
-    skips: list[bool] = []
     for k in range(config.num_layers):
         agg = np.matmul(coeffs, h, out=workspace and workspace.take(f"agg{k}", h.shape, dt))
         w_t = workspace.transposed("w_msg_t", params.w_msg[k]) if workspace else params.w_msg[k].T
         preact = np.matmul(agg, w_t, out=workspace and workspace.take(f"preact{k}", hidden, dt))
         h_new = np.maximum(preact, 0.0,
                            out=workspace and workspace.take(f"h{k + 1}", hidden, dt))
-        skip = config.use_skip and h_new.shape == h.shape
-        if skip:
+        if config.skip_at(k):
             h_new += h
         aggs.append(agg)
         mp_preacts.append(preact)
-        skips.append(skip)
         hs.append(h_new)
         h = h_new
 
@@ -351,7 +351,6 @@ def forward_arrays(
         hs=hs,
         aggs=aggs,
         mp_preacts=mp_preacts,
-        skips=skips,
         dropout_mask=dropout_mask,
         h_dropped=h_dropped,
         logits=logits,

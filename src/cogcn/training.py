@@ -147,7 +147,7 @@ def backward(
         dh_name = f"dh{(config.num_layers - k) % 2}"
         dh = np.matmul(cache.coeffs.swapaxes(-1, -2), d_agg,
                        out=workspace and workspace.take(dh_name, cache.hs[k].shape, dt))
-        if cache.skips[k]:
+        if config.skip_at(k):
             dh += incoming
 
     if config.use_pre:

@@ -518,12 +518,32 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and named in err and "Traceback" not in err
 
-    def test_graph_override_replaces_the_checkpoint_settings(self, data_dir, trained, capsys):
+    def test_checkpoint_reproduces_the_folds_test_metrics(self, data_dir, trained, capsys):
+        # the fold's test score in metrics.json is what eval gives on its test speaker
+        fold = json.loads((trained / "metrics.json").read_text())["folds"][0]
+        assert fold["speaker"] == "spk00"
+        code = run(["eval", "--ckpt", trained / "fold_spk00.json",
+                    "--data", data_dir, "--speaker", "spk00", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert ((payload["confusion"], payload["wa"], payload["ua"])
+                == (fold["confusion"], fold["wa"], fold["ua"]))
+
+    def test_graph_settings_come_from_the_checkpoint_only(self, tmp_path, data_dir, trained,
+                                                          capsys):
         ckpt = trained / "fold_spk00.json"
-        assert json.loads(ckpt.read_text())["train_meta"]["graph_kind"] == "cosine"
-        for override in (["--gamma", 0.55], ["--graph", "temporal"]):
-            assert run(["eval", "--ckpt", ckpt, "--data", data_dir, "--json", *override]) == 0
-            assert 0.0 <= json.loads(capsys.readouterr().out)["ua"] <= 1.0
+        for flags in (["--gamma", 0.55], ["--graph", "temporal"]):
+            assert run(["eval", "--ckpt", ckpt, "--data", data_dir, *flags]) == 1
+            assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        obj = json.loads(ckpt.read_text())
+        temporal, temporal_meta = tmp_path / "temporal.json", {"gamma": 0.55,
+                                                              "graph_kind": "temporal"}
+        temporal.write_text(json.dumps({**obj, "train_meta": temporal_meta}))
+        for path, meta in ((ckpt, obj["train_meta"]), (temporal, temporal_meta)):
+            out = tmp_path / path.stem
+            assert run(["eval", "--ckpt", path, "--data", data_dir, "-o", out]) == 0
+            config = json.loads((out / "run_manifest.json").read_text())["config"]
+            assert {"gamma": config["gamma"], "graph_kind": config["graph_kind"]} == meta
 
     def test_extra_class_name_is_data_error(self, tmp_path, trained, capsys):
         # a 4-class checkpoint that names a fifth class, on a 5-class corpus
@@ -611,6 +631,16 @@ class TestGraphCommand:
         assert ("not allowed with argument --gamma" if flags
                 else "one of the arguments --gamma --temporal is required") in err
         assert "unknown utterance" not in err and not out.exists()
+
+    def test_train_refuses_gamma_with_the_temporal_graph(self, tmp_path, capsys):
+        # train keeps graph's rule: a gamma the temporal chain would leave unused
+        # is a usage error, found before --data is read
+        out = tmp_path / "r"
+        assert run(["train", "--data", tmp_path / "no_data", "--graph", "temporal",
+                    "--gamma", 0.5, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert "argument --gamma: not allowed with --graph temporal" in err
+        assert "no_data" not in err and not out.exists()
 
     def test_unknown_utterance_lists_ids(self, tmp_path, data_dir, capsys):
         code = run(["graph", "--data", data_dir, "--utt", "nope", "--gamma",

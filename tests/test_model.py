@@ -70,6 +70,15 @@ def hidden_states(cfg, params, x, coeffs):
     return cache
 
 
+def assert_skips(cfg, cache, expected):
+    """``cfg.skip_at`` gives ``expected`` per layer, and the forward in ``cache``
+    added each layer's input to its output exactly there."""
+    assert [cfg.skip_at(k) for k in range(cfg.num_layers)] == expected
+    for k, skip in enumerate(expected):
+        h_new = np.maximum(cache.mp_preacts[k], 0.0)
+        np.testing.assert_array_equal(cache.hs[k + 1], h_new + cache.hs[k] if skip else h_new)
+
+
 class TestParams:
     def test_layout_is_contiguous_and_covers_flat(self):
         cfg = config64()
@@ -200,7 +209,7 @@ class TestStages:
         # relu(I [1, -2]) + [1, -2]
         cfg, params = identity_params(2, 1, 2, use_pre=False)
         cache = hidden_states(cfg, params, [[1.0, -2.0]], [[1.0]])
-        assert cache.skips == [True]
+        assert_skips(cfg, cache, [True])
         np.testing.assert_array_equal(cache.hs[1][0], [[2.0, -2.0]])
 
     def test_apply_skip_zero_update(self):
@@ -337,7 +346,7 @@ class TestForward:
         coeffs = norm_coefficients(build_temporal_graph(x))
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
         assert cfg.hidden_dim != cfg.in_dim
-        assert cache.skips == [False, True]
+        assert_skips(cfg, cache, [False, True])
 
     def test_skip_applies_when_widths_coincide(self):
         cfg = ModelConfig(in_dim=6, hidden_dim=6, num_layers=2, use_pre=False, dtype="float64")
@@ -345,7 +354,7 @@ class TestForward:
         x = np.random.default_rng(8).standard_normal((3, 6))
         coeffs = norm_coefficients(build_temporal_graph(x))
         _, _, cache = forward_arrays(params, cfg, x[None], coeffs[None], mode="eval")
-        assert cache.skips == [True, True]
+        assert_skips(cfg, cache, [True, True])
 
     def test_train_mode_requires_rng_with_dropout(self):
         cfg = config64(dropout=0.1)
